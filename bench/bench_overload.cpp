@@ -9,8 +9,9 @@
  *
  *   unloaded     real-time traffic only at 0.5x capacity — the
  *                reference tail for the isolation claim.
- *   overload_3x  3x capacity, 20% real-time / 80% batch, brownout on —
- *                batch is shed and deferred, real-time rides through.
+ *   overload_3x  3x capacity, 20% real-time / 80% batch — batch is
+ *                deferred and refused at its full lane, real-time
+ *                rides through.
  *   recovery_1x  ~0.9x capacity, same mix — batch goodput must recover
  *                once the flood stops.
  *
@@ -54,7 +55,7 @@ struct PhaseResult {
     std::vector<double> rt_latencies_ms; ///< queue+run of OK rt requests.
     std::int64_t rt_submitted = 0;
     std::int64_t rt_ok = 0;
-    std::int64_t rt_shed = 0; ///< Brownout sheds charged to the rt lane.
+    std::int64_t rt_shed = 0; ///< Requests shed from the rt lane.
     std::int64_t batch_submitted = 0;
     std::int64_t batch_ok = 0;
 };
@@ -182,7 +183,6 @@ overload_scenario(::benchmark::State &state)
         // Wide enough to absorb catch-up bursts when the paced
         // submitter oversleeps; the gate demands zero rt rejections.
         options.rt_queue_depth = 8;
-        options.enable_brownout = true;
         options.enable_watchdog = false;
         // Pure strict priority: this scenario is the rt-centric
         // deployment posture. Batch cannot starve here anyway (rt load

@@ -11,9 +11,9 @@
  *      letting tail latency grow.
  *   3. Mixed latency classes under overload — one real-time client
  *      bursts alongside three batch clients into an oversubscribed
- *      queue with brownout on; the real-time rows stay near the
- *      uncontended service time while batch absorbs queueing and
- *      shedding (see bench_overload for the paced open-loop gate).
+ *      queue; the real-time rows stay near the uncontended service
+ *      time while batch absorbs queueing and shedding (see
+ *      bench_overload for the paced open-loop gate).
  *
  * Each cell reports client-observed p50/p99 of *completed* requests;
  * the summary block reports how much work each configuration shed.
@@ -180,7 +180,7 @@ service_cell(::benchmark::State &state, const std::string &row,
 
 /**
  * Sweep 3 body: 1-in-4 clients submits real-time bursts, the rest
- * batch, into a depth-8 queue with brownout enabled — sustained
+ * batch, into a depth-8 queue — sustained
  * oversubscription. Rows split the client-observed percentiles by
  * class: real-time should sit near the uncontended service time while
  * batch soaks up the queueing and the shedding.
@@ -195,7 +195,6 @@ mixed_cell(::benchmark::State &state)
     ServiceOptions options;
     options.max_queue_depth = 8;
     options.workers = 2;
-    options.enable_brownout = true;
     options.enable_watchdog = false;
     InferenceService service(models::tiny_cnn(), EngineOptions{},
                              options);

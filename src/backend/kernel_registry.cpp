@@ -1,78 +1,10 @@
 #include "backend/kernel_registry.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "core/status.hpp"
 
 namespace orpheus {
-
-std::string
-kernel_health_id(const std::string &op_type, const std::string &impl_name)
-{
-    return op_type + "." + impl_name;
-}
-
-void
-KernelHealthLedger::record_guard_trip(const std::string &kernel_id)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++records_[kernel_id].guard_trips;
-}
-
-void
-KernelHealthLedger::record_fault(const std::string &kernel_id)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++records_[kernel_id].faults;
-}
-
-void
-KernelHealthLedger::record_breaker_open(const std::string &kernel_id)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++records_[kernel_id].breaker_opens;
-}
-
-void
-KernelHealthLedger::record_recovery(const std::string &kernel_id)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++records_[kernel_id].recoveries;
-}
-
-void
-KernelHealthLedger::record_shadow_run(const std::string &kernel_id,
-                                      bool diverged)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    KernelHealthRecord &record = records_[kernel_id];
-    ++record.shadow_runs;
-    if (diverged)
-        ++record.shadow_divergences;
-}
-
-KernelHealthRecord
-KernelHealthLedger::record(const std::string &kernel_id) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = records_.find(kernel_id);
-    return it != records_.end() ? it->second : KernelHealthRecord{};
-}
-
-std::map<std::string, KernelHealthRecord>
-KernelHealthLedger::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return records_;
-}
-
-void
-KernelHealthLedger::reset()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    records_.clear();
-}
 
 KernelRegistry &
 KernelRegistry::instance()

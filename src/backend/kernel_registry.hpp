@@ -18,66 +18,15 @@
  */
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "backend/layer.hpp"
 
 namespace orpheus {
-
-/** Aggregated health of one kernel implementation across all engines. */
-struct KernelHealthRecord {
-    /** Confirmed output-guard trips (non-finite, magnitude, shadow). */
-    std::int64_t guard_trips = 0;
-    /** Kernel faults (thrown from forward() or injected). */
-    std::int64_t faults = 0;
-    /** Circuit-breaker open transitions attributed to this kernel. */
-    std::int64_t breaker_opens = 0;
-    /** Successful half-open probes that re-promoted this kernel. */
-    std::int64_t recoveries = 0;
-    std::int64_t shadow_runs = 0;
-    std::int64_t shadow_divergences = 0;
-};
-
-/**
- * Process-wide health ledger, keyed by kernel id
- * ("op_type.impl_name"). Engines record guard trips, faults, breaker
- * transitions and shadow outcomes here so operators can see which
- * backend is misbehaving across every replica, not just one engine.
- * Thread-safe; recording is off the hot path (trips are rare, shadow
- * runs sampled).
- */
-class KernelHealthLedger
-{
-  public:
-    void record_guard_trip(const std::string &kernel_id);
-    void record_fault(const std::string &kernel_id);
-    void record_breaker_open(const std::string &kernel_id);
-    void record_recovery(const std::string &kernel_id);
-    void record_shadow_run(const std::string &kernel_id, bool diverged);
-
-    /** Record for @p kernel_id (zeroes when never seen). */
-    KernelHealthRecord record(const std::string &kernel_id) const;
-
-    /** Snapshot of every kernel with recorded activity. */
-    std::map<std::string, KernelHealthRecord> snapshot() const;
-
-    /** Clears all records (tests). */
-    void reset();
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<std::string, KernelHealthRecord> records_;
-};
-
-/** Canonical ledger key for a kernel: "op_type.impl_name". */
-std::string kernel_health_id(const std::string &op_type,
-                             const std::string &impl_name);
 
 /** One registered kernel implementation. */
 struct KernelDef {
@@ -125,15 +74,10 @@ class KernelRegistry
     std::unique_ptr<Layer> instantiate(const KernelDef &def,
                                        const LayerInit &init) const;
 
-    /** Process-wide kernel health ledger (guarded execution). */
-    KernelHealthLedger &health() { return health_; }
-    const KernelHealthLedger &health() const { return health_; }
-
   private:
     KernelRegistry() = default;
 
     std::map<std::string, std::vector<KernelDef>> kernels_by_op_;
-    KernelHealthLedger health_;
 };
 
 /** Registers every built-in kernel (idempotent; called by instance()). */

@@ -315,8 +315,6 @@ orpheus_service_create_zoo(const char *model_name, const char *personality,
                 service_options.hang_threshold_ms =
                     config->hang_threshold_ms;
             engine_options.guard.enabled = config->enable_guard != 0;
-            service_options.enable_brownout =
-                config->enable_brownout != 0;
             if (config->rt_queue_depth > 0)
                 service_options.rt_queue_depth =
                     static_cast<std::size_t>(config->rt_queue_depth);
@@ -426,7 +424,6 @@ orpheus_service_query_stats(const orpheus_service *service,
     stats->retry_budget_denied = snapshot.retry_budget_denied;
     stats->quarantines = snapshot.quarantines;
     stats->readmissions = snapshot.readmissions;
-    stats->brownout_shed = snapshot.brownout_shed;
     stats->latency_p50_ms = snapshot.latency_p50_ms;
     stats->latency_p99_ms = snapshot.latency_p99_ms;
     stats->latency_p999_ms = snapshot.latency_p999_ms;

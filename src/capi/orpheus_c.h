@@ -143,9 +143,9 @@ int orpheus_engine_profile_csv(const orpheus_engine *engine, char *buffer,
  *
  * The service wraps a pool of engine replicas (sharing one prepacked
  * constant cache) behind admission control, a hang watchdog,
- * health-aware failover with bounded retries, and optional overload
- * brownout. This is the surface long-running embedders should use
- * instead of orpheus_engine_run.
+ * health-aware failover with bounded retries, and latency-class lanes
+ * with deadline-feasibility admission. This is the surface
+ * long-running embedders should use instead of orpheus_engine_run.
  */
 
 /** Opaque replicated-service handle. */
@@ -165,6 +165,8 @@ typedef struct orpheus_service_config {
     double default_deadline_ms;
     double hang_threshold_ms;
     int enable_guard;
+    /** Retired (overload brownout was removed); ignored. Kept so the
+     *  struct layout does not move. */
     int enable_brownout;
     /* Latency classes (appended; zero keeps the defaults). */
     /** Real-time lane depth limit (0 = max_queue_depth / 4). */
@@ -190,6 +192,8 @@ typedef struct orpheus_service_stats {
     int64_t retry_budget_denied;
     int64_t quarantines;
     int64_t readmissions;
+    /** Retired (overload brownout was removed); always 0. Kept so the
+     *  struct layout does not move. */
     int64_t brownout_shed;
     double latency_p50_ms;
     double latency_p99_ms;
@@ -210,7 +214,7 @@ typedef struct orpheus_service_stats {
     double class_p50_ms[3];
     double class_p99_ms[3];
     double class_p999_ms[3];
-    /** Per-class requests shed without dispatch (brownout/shutdown). */
+    /** Per-class requests shed without dispatch by shutdown. */
     int64_t class_shed[3];
     /** Per-class share of rejected_infeasible. */
     int64_t class_infeasible[3];

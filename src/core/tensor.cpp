@@ -230,7 +230,8 @@ max_abs_diff(const Tensor &a, const Tensor &b)
     const float *pa = a.data<float>();
     const float *pb = b.data<float>();
     float worst = 0.0f;
-    for (std::int64_t i = 0; i < a.numel(); ++i)
+    const std::int64_t n = a.numel();
+    for (std::int64_t i = 0; i < n; ++i)
         worst = std::max(worst, std::fabs(pa[i] - pb[i]));
     return worst;
 }
@@ -242,7 +243,8 @@ all_close(const Tensor &a, const Tensor &b, float atol, float rtol)
         return false;
     const float *pa = a.data<float>();
     const float *pb = b.data<float>();
-    for (std::int64_t i = 0; i < a.numel(); ++i) {
+    const std::int64_t n = a.numel();
+    for (std::int64_t i = 0; i < n; ++i) {
         const float tolerance = atol + rtol * std::fabs(pb[i]);
         if (std::fabs(pa[i] - pb[i]) > tolerance)
             return false;

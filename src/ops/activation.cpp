@@ -54,7 +54,8 @@ activation_forward(const ActivationSpec &spec, const Tensor &input,
                                                 << output.shape());
     const float *in = input.data<float>();
     float *out = output.data<float>();
-    for (std::int64_t i = 0; i < input.numel(); ++i)
+    const std::int64_t count = input.numel();
+    for (std::int64_t i = 0; i < count; ++i)
         out[i] = spec.apply(in[i]);
 }
 

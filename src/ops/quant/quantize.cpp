@@ -44,7 +44,8 @@ quantize_to_uint8(const Tensor &input, const QuantParams &params,
     const float *in = input.data<float>();
     std::uint8_t *out = output.data<std::uint8_t>();
     const float inv_scale = 1.0f / params.scale;
-    for (std::int64_t i = 0; i < input.numel(); ++i) {
+    const std::int64_t count = input.numel();
+    for (std::int64_t i = 0; i < count; ++i) {
         const std::int32_t q =
             static_cast<std::int32_t>(std::lround(in[i] * inv_scale)) +
             params.zero_point;
@@ -64,7 +65,8 @@ quantize_to_int8(const Tensor &input, const QuantParams &params,
     const float *in = input.data<float>();
     std::int8_t *out = output.data<std::int8_t>();
     const float inv_scale = 1.0f / params.scale;
-    for (std::int64_t i = 0; i < input.numel(); ++i) {
+    const std::int64_t count = input.numel();
+    for (std::int64_t i = 0; i < count; ++i) {
         const std::int32_t q =
             static_cast<std::int32_t>(std::lround(in[i] * inv_scale)) +
             params.zero_point;
@@ -112,8 +114,9 @@ void
 tensor_min_max(const Tensor &input, float &min, float &max)
 {
     const float *data = input.data<float>();
-    min = max = input.numel() > 0 ? data[0] : 0.0f;
-    for (std::int64_t i = 1; i < input.numel(); ++i) {
+    const std::int64_t count = input.numel();
+    min = max = count > 0 ? data[0] : 0.0f;
+    for (std::int64_t i = 1; i < count; ++i) {
         min = std::min(min, data[i]);
         max = std::max(max, data[i]);
     }

@@ -420,77 +420,15 @@ Engine::execute_step(std::size_t index, const DeadlineToken &deadline)
         throw DeadlineExceededError("deadline expired before node " +
                                     step.node_name);
 
-    ExecutionMonitor *monitor = options_.execution_monitor.get();
-    if (monitor != nullptr)
-        monitor->begin_step(index, step.node_name, step.layer->impl_name());
-    struct EndStep {
-        ExecutionMonitor *monitor;
-        ~EndStep()
-        {
-            if (monitor != nullptr)
-                monitor->end_step();
-        }
-    } end_step{monitor};
-
-    // Kernels reach the deadline through the thread-local cancellation
-    // hook: parallel_for splits chunks into tiles and checks it at
-    // every tile boundary.
-    ScopedDeadline cancel_scope(deadline);
-    if (options_.guard.enabled)
-        execute_step_guarded(index, deadline);
-    else
-        execute_step_unguarded(index, deadline);
-}
-
-void
-Engine::execute_step_unguarded(std::size_t index,
-                               const DeadlineToken &deadline)
-{
-    PlanStep &step = steps_[index];
-    try {
-        FaultInjector *injector = options_.fault_injector.get();
-        // One decide() call per invocation: the whole injection schedule
-        // for this step is resolved atomically, so a concurrent re-arm
-        // (pool chaos harnesses) cannot hand us a torn verdict.
-        InjectionDecision injection;
-        if (injector != nullptr) {
-            injection = injector->decide(
-                step.node_name, step.layer->impl_name(), graph_.name());
-            if (injection.delay_ms > 0)
-                cooperative_delay_ms(injection.delay_ms, deadline);
-            if (injection.fail)
-                throw KernelFault("injected fault in node " +
-                                  step.node_name + " (" +
-                                  step.layer->impl_name() + ")");
-        }
-        step.layer->forward(step.inputs, step.outputs);
-        if (injector != nullptr)
-            apply_corruption(injection.corruption, *step.outputs.front());
-    } catch (const DeadlineExceededError &) {
-        // A cancelled step is not a kernel fault: never degrade, let
-        // the request surface kDeadlineExceeded.
-        throw;
-    } catch (const std::exception &fault) {
-        if (!options_.fallback_on_kernel_fault)
-            throw;
-        degrade_step(index, fault.what());
-        // Retry on the fallback; a second failure propagates — one
-        // degradation per execution keeps the retry loop bounded.
-        steps_[index].layer->forward(steps_[index].inputs,
-                                     steps_[index].outputs);
-    }
-}
-
-void
-Engine::execute_step_guarded(std::size_t index, const DeadlineToken &deadline)
-{
-    PlanStep &step = steps_[index];
     const GuardPolicy &policy = options_.guard;
     StepHealth &health = step.health;
 
     // Breaker maintenance: a cooled-down open breaker half-opens, and
-    // this invocation becomes the probe of the fast kernel.
-    if (health.state == BreakerState::kOpen && policy.allow_recovery) {
+    // this invocation becomes the probe of the fast kernel. Without the
+    // guard there is no probe verification, so an open breaker stays
+    // open.
+    if (health.state == BreakerState::kOpen && policy.enabled &&
+        policy.allow_recovery) {
         const std::chrono::duration<double, std::milli> open_for =
             std::chrono::steady_clock::now() - health.opened_at;
         if (open_for.count() >= policy.cooldown_ms) {
@@ -508,8 +446,27 @@ Engine::execute_step_guarded(std::size_t index, const DeadlineToken &deadline)
         routed_to_reference ? reference_layer(step) : *step.layer;
     ++step.invocations;
 
+    ExecutionMonitor *monitor = options_.execution_monitor.get();
+    if (monitor != nullptr)
+        monitor->begin_step(index, step.node_name, active.impl_name());
+    struct EndStep {
+        ExecutionMonitor *monitor;
+        ~EndStep()
+        {
+            if (monitor != nullptr)
+                monitor->end_step();
+        }
+    } end_step{monitor};
+
+    // Kernels reach the deadline through the thread-local cancellation
+    // hook: parallel_for splits chunks into tiles and checks it at
+    // every tile boundary.
+    ScopedDeadline cancel_scope(deadline);
     try {
         FaultInjector *injector = options_.fault_injector.get();
+        // One decide() call per invocation: the whole injection schedule
+        // for this step is resolved atomically, so a concurrent re-arm
+        // (pool chaos harnesses) cannot hand us a torn verdict.
         InjectionDecision injection;
         if (injector != nullptr) {
             injection = injector->decide(step.node_name, active.impl_name(),
@@ -527,8 +484,6 @@ Engine::execute_step_guarded(std::size_t index, const DeadlineToken &deadline)
     } catch (const DeadlineExceededError &) {
         throw; // Never a trip: cancelled, not wrong.
     } catch (const std::exception &fault) {
-        if (!options_.fallback_on_kernel_fault)
-            throw;
         if (routed_to_reference || step.reference_impl.empty())
             throw Error("kernel " + step.op_type + "." +
                         active.impl_name() + " failed on node " +
@@ -540,6 +495,9 @@ Engine::execute_step_guarded(std::size_t index, const DeadlineToken &deadline)
         reference_layer(step).forward(step.inputs, step.outputs);
         return;
     }
+
+    if (!policy.enabled)
+        return;
 
     if (routed_to_reference) {
         // The reference is the trusted root; scanning it is opt-in and
@@ -659,15 +617,11 @@ Engine::run_shadow(PlanStep &step)
         scratch_ptrs.push_back(&tensor);
     reference_layer(step).forward(step.inputs, scratch_ptrs);
 
-    KernelHealthLedger &ledger = KernelRegistry::instance().health();
-    const std::string id =
-        kernel_health_id(step.op_type, step.selected_impl);
     for (std::size_t i = 0; i < step.outputs.size(); ++i) {
         const ShadowComparison comparison =
             compare_shadow(*step.outputs[i], scratch[i], policy);
         if (!comparison.diverged)
             continue;
-        ledger.record_shadow_run(id, /*diverged=*/true);
         // Serve the trusted result downstream.
         for (std::size_t j = 0; j < step.outputs.size(); ++j)
             step.outputs[j]->copy_from(scratch[j]);
@@ -683,7 +637,6 @@ Engine::run_shadow(PlanStep &step)
         verdict.detail = detail.str();
         return verdict;
     }
-    ledger.record_shadow_run(id, /*diverged=*/false);
     return GuardVerdict{};
 }
 
@@ -693,29 +646,27 @@ Engine::record_trip(std::size_t index, GuardTrip kind,
 {
     PlanStep &step = steps_[index];
     StepHealth &health = step.health;
-    KernelHealthLedger &ledger = KernelRegistry::instance().health();
-    const std::string id =
-        kernel_health_id(step.op_type, step.selected_impl);
 
     health.last_trip_reason = reason;
-    if (kind == GuardTrip::kFault) {
+    if (kind == GuardTrip::kFault)
         ++health.faults_total;
-        ledger.record_fault(id);
-    } else {
+    else
         ++health.trips_total;
-        ledger.record_guard_trip(id);
-    }
     ORPHEUS_WARN("guard: " << to_string(kind) << " on node "
-                           << step.node_name << " (" << id << "): "
-                           << reason);
+                           << step.node_name << " (" << step.op_type << "."
+                           << step.selected_impl << "): " << reason);
 
     if (health.state == BreakerState::kHalfOpen) {
         // The probe failed; back to open, cool-down restarts.
         open_breaker(index, "probe failed: " + reason);
         return;
     }
+    // Without the guard there is no confirmation step to wait for:
+    // the first fault opens the breaker.
+    const int open_after =
+        options_.guard.enabled ? options_.guard.open_after_trips : 1;
     ++health.consecutive_trips;
-    if (health.consecutive_trips >= options_.guard.open_after_trips &&
+    if (health.consecutive_trips >= open_after &&
         !step.reference_impl.empty())
         open_breaker(index, reason);
 }
@@ -733,40 +684,12 @@ Engine::open_breaker(std::size_t index, const std::string &reason)
     health.consecutive_trips = 0;
     health.last_trip_reason = reason;
     step.degraded = true;
-    KernelRegistry::instance().health().record_breaker_open(
-        kernel_health_id(step.op_type, step.selected_impl));
     profiler_.set_impl_name(index, step.reference_impl);
     ORPHEUS_WARN("guard: breaker OPEN for "
                  << step.op_type << "." << step.selected_impl
                  << " on node " << step.node_name << " (" << reason
                  << "); routing to " << step.op_type << "."
                  << step.reference_impl);
-}
-
-void
-Engine::degrade_step(std::size_t index, const std::string &reason)
-{
-    PlanStep &step = steps_[index];
-    const std::string failed = step.layer->impl_name();
-
-    KernelRegistry &registry = KernelRegistry::instance();
-    const KernelDef *fallback =
-        select_fallback_kernel(registry, step.init, failed);
-    if (fallback == nullptr)
-        throw Error("kernel " + step.op_type + "." + failed +
-                    " failed on node " + step.node_name + " (" + reason +
-                    ") and no fallback implementation is registered");
-
-    ORPHEUS_WARN("kernel " << step.op_type << "." << failed
-                           << " failed on node " << step.node_name << " ("
-                           << reason
-                           << "); falling back to reference implementation "
-                           << step.op_type << "." << fallback->impl_name);
-    registry.health().record_fault(kernel_health_id(step.op_type, failed));
-    step.layer = registry.instantiate(*fallback, step.init);
-    prepare_layer(*step.layer);
-    step.degraded = true;
-    profiler_.set_impl_name(index, step.layer->impl_name());
 }
 
 void
@@ -955,22 +878,18 @@ Engine::demote_step(std::size_t index, const std::string &reason)
     ORPHEUS_CHECK(index < steps_.size(),
                   "plan step " << index << " out of range (plan has "
                                << steps_.size() << " steps)");
-    if (options_.guard.enabled) {
-        // Guard mode keeps the fast layer in place and routes around it,
-        // so a half-open probe can later restore it.
-        ORPHEUS_CHECK(!steps_[index].reference_impl.empty(),
-                      "kernel " << steps_[index].op_type << "."
-                                << steps_[index].selected_impl
-                                << " demoted on node "
-                                << steps_[index].node_name << " (" << reason
-                                << ") but no fallback implementation is "
-                                   "registered");
-        record_trip(index, GuardTrip::kFault, reason);
-        if (steps_[index].health.state == BreakerState::kClosed)
-            open_breaker(index, reason);
-        return;
-    }
-    degrade_step(index, reason);
+    // The fast layer stays in place and the breaker routes around it,
+    // so restore_step (or a guarded half-open probe) can re-promote it.
+    ORPHEUS_CHECK(!steps_[index].reference_impl.empty(),
+                  "kernel " << steps_[index].op_type << "."
+                            << steps_[index].selected_impl
+                            << " demoted on node " << steps_[index].node_name
+                            << " (" << reason
+                            << ") but no fallback implementation is "
+                               "registered");
+    record_trip(index, GuardTrip::kFault, reason);
+    if (steps_[index].health.state == BreakerState::kClosed)
+        open_breaker(index, reason);
 }
 
 void
@@ -980,23 +899,8 @@ Engine::restore_step(std::size_t index)
                   "plan step " << index << " out of range (plan has "
                                << steps_.size() << " steps)");
     PlanStep &step = steps_[index];
-    if (step.layer->impl_name() != step.selected_impl) {
-        // Legacy degrade_step swapped the layer itself; re-instantiate
-        // the plan-time selection.
-        KernelRegistry &registry = KernelRegistry::instance();
-        const KernelDef *def =
-            registry.find(step.op_type, step.selected_impl);
-        ORPHEUS_CHECK(def != nullptr,
-                      "kernel " << step.op_type << "." << step.selected_impl
-                                << " is no longer registered");
-        step.layer = registry.instantiate(*def, step.init);
-        prepare_layer(*step.layer);
-    }
-    if (step.health.state != BreakerState::kClosed) {
+    if (step.health.state != BreakerState::kClosed)
         ++step.health.recoveries_total;
-        KernelRegistry::instance().health().record_recovery(
-            kernel_health_id(step.op_type, step.selected_impl));
-    }
     step.health.state = BreakerState::kClosed;
     step.health.consecutive_trips = 0;
     step.degraded = false;
@@ -1012,13 +916,36 @@ Engine::plan_summary() const
     for (std::size_t i = 0; i < steps_.size(); ++i) {
         const PlanStep &step = steps_[i];
         out << "  #" << i << " " << step.node_name << " [" << step.op_type
-            << " / " << step.layer->impl_name()
+            << " / " << step.active_impl()
             << (step.degraded ? " (degraded)" : "");
         if (step.health.state != BreakerState::kClosed)
             out << " (breaker " << to_string(step.health.state) << ")";
         out << "] -> " << step.output_shape << "\n";
     }
     return out.str();
+}
+
+std::map<std::string, KernelHealth>
+kernel_health(const std::vector<const Engine *> &engines)
+{
+    std::map<std::string, KernelHealth> table;
+    for (const Engine *engine : engines) {
+        for (const PlanStep &step : engine->steps()) {
+            const StepHealth &health = step.health;
+            // Opens and recoveries only follow a trip or fault.
+            if (health.trips_total == 0 && health.faults_total == 0 &&
+                health.shadow_runs == 0)
+                continue;
+            KernelHealth &row =
+                table[step.op_type + "." + step.selected_impl];
+            row.trips += health.trips_total;
+            row.faults += health.faults_total;
+            row.opens += health.opens_total;
+            row.recoveries += health.recoveries_total;
+            row.shadow_runs += health.shadow_runs;
+        }
+    }
+    return table;
 }
 
 } // namespace orpheus

@@ -75,14 +75,6 @@ struct EngineOptions {
     std::shared_ptr<ConstantPackCache> pack_cache;
 
     /**
-     * When a kernel throws at run time, retry the step on the
-     * lowest-priority (reference) implementation instead of propagating
-     * the failure. The degradation is logged via ORPHEUS_WARN and the
-     * step keeps its fallback layer for subsequent runs.
-     */
-    bool fallback_on_kernel_fault = true;
-
-    /**
      * Optional fault-injection hook, consulted before every kernel
      * invocation; used to test the fallback policy (and by chaos-style
      * robustness harnesses). Null disables injection.
@@ -99,10 +91,11 @@ struct EngineOptions {
 
     /**
      * Guarded execution (guard.hpp): output scanning, sampled shadow
-     * execution and per-step circuit breakers. Disabled by default —
-     * the unguarded path is taken after a single branch. When enabled,
-     * kernel faults and watchdog demotions also route through the
-     * breaker, so they become recoverable via half-open probes.
+     * execution and breaker recovery. Disabled by default. Kernel
+     * faults and watchdog demotions always route through the step's
+     * circuit breaker; with the guard disabled it opens on the first
+     * fault and never half-opens (a permanent fallback to the
+     * reference kernel until restore_step).
      */
     GuardPolicy guard;
 
@@ -132,11 +125,11 @@ struct PlanStep {
     /** Value names of the outputs (index-aligned with outputs). */
     std::vector<std::string> output_names;
     Shape output_shape;
-    /** Plan-time init, retained so a failing kernel can be replaced by
-     *  the reference implementation without recompiling. */
+    /** Plan-time init, retained so the reference implementation can be
+     *  instantiated without recompiling. */
     LayerInit init;
-    /** True while the step executes on its fallback kernel (permanent
-     *  degradation, or an open circuit breaker in guard mode). */
+    /** True while the step's circuit breaker is not closed (open, or a
+     *  half-open probe pending). */
     bool degraded = false;
 
     // --- Guarded execution ------------------------------------------------
@@ -151,6 +144,15 @@ struct PlanStep {
     StepHealth health;
     /** Primary invocations of this step (drives shadow sampling). */
     std::uint64_t invocations = 0;
+
+    /** The impl that runs next: the reference while the breaker is
+     *  open, the plan-time layer otherwise. */
+    const std::string &
+    active_impl() const
+    {
+        return health.state == BreakerState::kOpen ? reference_impl
+                                                   : layer->impl_name();
+    }
 };
 
 class Engine
@@ -233,19 +235,19 @@ class Engine
 
     /**
      * Demotes step @p index to its reference fallback kernel, exactly
-     * as a thrown KernelFault would; used by the watchdog to retire a
-     * backend that hung. With guarding enabled this opens the step's
-     * circuit breaker instead — same routing, but a half-open probe
-     * can re-promote the fast kernel after the cool-down. Not
-     * thread-safe against a concurrent run() on this engine — callers
-     * (the service) serialize per engine. Throws orpheus::Error when
-     * no alternative implementation exists.
+     * as a thrown KernelFault would: records a fault and opens the
+     * step's circuit breaker. Used by the watchdog to retire a backend
+     * that hung. With guarding enabled a half-open probe can
+     * re-promote the fast kernel after the cool-down. Not thread-safe
+     * against a concurrent run() on this engine — callers (the
+     * service) serialize per engine. Throws orpheus::Error when no
+     * alternative implementation exists.
      */
     void demote_step(std::size_t index, const std::string &reason);
 
     /**
-     * Reverses demote_step / a tripped breaker: re-instantiates the
-     * kernel selected at plan time, closes the breaker and clears the
+     * Reverses demote_step / a tripped breaker: re-promotes the kernel
+     * selected at plan time, closes the breaker and clears the
      * degraded flag. The half-open probe path calls this after a clean
      * verification; it is also the manual operator override. Same
      * thread-safety contract as demote_step.
@@ -391,22 +393,9 @@ class Engine
     void bind_workspace_all();
 
     /** Executes step @p index with deadline checks, fault/delay
-     *  injection and the fallback policy. */
+     *  injection, the circuit breaker and (guard mode) output scanning
+     *  and shadow sampling (see guard.hpp). */
     void execute_step(std::size_t index, const DeadlineToken &deadline);
-
-    /** Pre-guard execution path (guard disabled): fault fallback is a
-     *  one-way permanent degradation. */
-    void execute_step_unguarded(std::size_t index,
-                                const DeadlineToken &deadline);
-
-    /** Guarded execution path: output scanning, shadow sampling and
-     *  the circuit breaker (see guard.hpp). */
-    void execute_step_guarded(std::size_t index,
-                              const DeadlineToken &deadline);
-
-    /** Swaps step @p index onto its reference fallback kernel; throws
-     *  orpheus::Error when no alternative implementation exists. */
-    void degrade_step(std::size_t index, const std::string &reason);
 
     // --- Guard internals --------------------------------------------------
 
@@ -426,7 +415,8 @@ class Engine
     GuardVerdict run_shadow(PlanStep &step);
 
     /** Records a confirmed trip/fault against the breaker; opens it
-     *  when the threshold is crossed or a probe failed. */
+     *  when the threshold is crossed (the first fault with the guard
+     *  off) or a probe failed. */
     void record_trip(std::size_t index, GuardTrip kind,
                      const std::string &reason);
 
@@ -485,5 +475,24 @@ class Engine
     std::map<std::string, std::vector<std::pair<std::string, double>>>
         autotune_log_;
 };
+
+/** Guard counters of one kernel, summed over the plan steps that
+ *  selected it: one row of the kernel-health table. */
+struct KernelHealth {
+    std::int64_t trips = 0;
+    std::int64_t faults = 0;
+    std::int64_t opens = 0;
+    std::int64_t recoveries = 0;
+    std::int64_t shadow_runs = 0;
+};
+
+/**
+ * The kernel-health table of @p engines (e.g. every pool replica):
+ * each plan step's StepHealth counters summed by the kernel selected
+ * at plan time ("op_type.impl"). Steps without guard activity add no
+ * row. Same thread-safety contract as demote_step.
+ */
+std::map<std::string, KernelHealth>
+kernel_health(const std::vector<const Engine *> &engines);
 
 } // namespace orpheus

@@ -37,7 +37,6 @@ EnginePool::Lease::~Lease()
 EnginePool::EnginePool(Graph graph, EngineOptions engine_options,
                        EnginePoolOptions options)
     : options_(std::move(options)),
-      full_policy_(engine_options.guard),
       pack_cache_(engine_options.pack_cache != nullptr
                       ? engine_options.pack_cache
                       : std::make_shared<ConstantPackCache>())
@@ -48,10 +47,6 @@ EnginePool::EnginePool(Graph graph, EngineOptions engine_options,
     ORPHEUS_CHECK(options_.warm_spares >= 0,
                   "engine pool needs >= 0 warm spares, got "
                       << options_.warm_spares);
-
-    // Brownout fidelity: same guard, no shadow sampling.
-    brownout_policy_ = full_policy_;
-    brownout_policy_.shadow_every_n = 0;
 
     replica_storage_count_ = static_cast<std::size_t>(options_.replicas) +
                              static_cast<std::size_t>(options_.warm_spares);
@@ -130,18 +125,6 @@ EnginePool::count_in_rotation_locked() const
     return count;
 }
 
-void
-EnginePool::sync_degraded_mode_locked(std::size_t id)
-{
-    Replica &replica = replicas_[id];
-    if (replica.degraded_applied == degraded_mode_ ||
-        !full_policy_.enabled)
-        return;
-    replica.engine->set_guard_policy(degraded_mode_ ? brownout_policy_
-                                                    : full_policy_);
-    replica.degraded_applied = degraded_mode_;
-}
-
 EnginePool::Lease
 EnginePool::acquire(const DeadlineToken &deadline,
                     std::size_t exclude_replica, Status *why,
@@ -209,7 +192,6 @@ EnginePool::acquire(const DeadlineToken &deadline,
         if (id != kNoReplica) {
             Replica &replica = replicas_[id];
             replica.leased = true;
-            sync_degraded_mode_locked(id);
             ++stats_.acquires;
             return Lease(this, id, replica.engine.get());
         }
@@ -267,7 +249,6 @@ EnginePool::acquire(const DeadlineToken &deadline,
             replica.health_penalty = 0;
             replica.last_fault.clear();
             ++stats_.readmissions;
-            sync_degraded_mode_locked(candidate);
             ++stats_.acquires;
             ORPHEUS_WARN("engine pool: replica " << candidate
                                                  << " probed clean; "
@@ -328,7 +309,6 @@ EnginePool::acquire_specific(std::size_t replica,
         }
         if (!target.leased) {
             target.leased = true;
-            sync_degraded_mode_locked(replica);
             ++stats_.acquires;
             return Lease(this, replica, target.engine.get());
         }
@@ -387,7 +367,6 @@ EnginePool::swap_replica(std::size_t id, std::unique_ptr<Engine> engine,
     replica.pending_demotions.clear();
     replica.pending_hang_penalty = 0;
     replica.last_fault.clear();
-    replica.degraded_applied = false;
     replica.window = ReplicaWindow{};
     if (replica.state == ReplicaState::kQuarantined)
         // The replacement engine is fresh; readmit the slot.
@@ -568,22 +547,6 @@ EnginePool::report_hang(std::size_t replica, std::size_t step_index,
     replicas_[replica].last_fault = reason;
 }
 
-void
-EnginePool::set_degraded_mode(bool degraded)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    degraded_mode_ = degraded;
-    // Replicas pick the new policy up lazily at their next acquire,
-    // when they are exclusively held.
-}
-
-bool
-EnginePool::degraded_mode() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return degraded_mode_;
-}
-
 const Engine &
 EnginePool::engine(std::size_t index) const
 {
@@ -616,10 +579,6 @@ EnginePool::stats() const
             break;
         }
     }
-    for (const auto &[id, record] :
-         KernelRegistry::instance().health().snapshot())
-        stats.ledger_incidents += record.guard_trips + record.faults +
-                                  record.breaker_opens;
     return stats;
 }
 
@@ -636,7 +595,6 @@ EnginePool::snapshot() const
         view.state = replica.state;
         view.leased = replica.leased;
         view.draining = replica.draining;
-        view.degraded_mode = replica.degraded_applied;
         view.health_penalty = replica.health_penalty;
         view.generation = replica.generation;
         view.served = replica.served;

@@ -28,11 +28,6 @@
  *     │  probe clean: restore_step + readmit         │ acquire() finds
  *     └──────────────── PROBING ◀────────────────────┘ no healthy replica
  *
- * The pool also carries the service's brownout lever: in degraded mode
- * every replica is switched to a cheaper guard policy (no shadow
- * sampling) the next time it is leased, and restored when pressure
- * subsides.
- *
  * Thread-safe: any number of dispatcher threads may acquire/release
  * concurrently; a leased replica is exclusively owned by its holder.
  */
@@ -117,7 +112,6 @@ struct ReplicaSnapshot {
     bool leased = false;
     /** Fenced off from new leases while swap_replica drains it. */
     bool draining = false;
-    bool degraded_mode = false;
     double health_penalty = 0;
     /** Model generation currently compiled into this replica. */
     std::uint64_t generation = 0;
@@ -178,10 +172,6 @@ struct EnginePoolStats {
     std::int64_t swaps = 0;
     /** Acquires routed to the canary replica by its traffic slice. */
     std::int64_t canary_routed = 0;
-    /** Guard-ledger incidents (trips + faults + breaker opens) across
-     *  all kernels, process-wide: the cross-replica view operators
-     *  correlate replica failures against. */
-    std::int64_t ledger_incidents = 0;
     std::size_t active_replicas = 0;
     std::size_t spare_replicas = 0;
     std::size_t quarantined_replicas = 0;
@@ -352,15 +342,6 @@ class EnginePool
     void report_hang(std::size_t replica, std::size_t step_index,
                      const std::string &reason);
 
-    /**
-     * Brownout lever: in degraded mode replicas are switched to a
-     * no-shadow guard policy at their next acquire (and switched back
-     * when the mode clears). A no-op for engines compiled without
-     * guarding.
-     */
-    void set_degraded_mode(bool degraded);
-    bool degraded_mode() const;
-
     // --- Introspection ----------------------------------------------------
 
     /** All monitors, replica id == index (Watchdog input). */
@@ -409,7 +390,6 @@ class EnginePool
         ReplicaState state = ReplicaState::kActive;
         bool leased = false;
         bool draining = false;
-        bool degraded_applied = false;
         double health_penalty = 0;
         std::uint64_t generation = 0;
         std::int64_t served = 0;
@@ -435,10 +415,6 @@ class EnginePool
      *  holds mutex_ and the replica is leased (exclusive). */
     void apply_pending_demotions_locked(std::size_t id);
 
-    /** Syncs the replica's guard policy with degraded_mode_. Caller
-     *  holds mutex_ and the replica is leased (exclusive). */
-    void sync_degraded_mode_locked(std::size_t id);
-
     /** Restore + probe of a quarantined replica. Called WITHOUT mutex_
      *  (the probe is a full inference); the replica must already be
      *  marked leased. Returns true when the replica is clean. */
@@ -448,8 +424,6 @@ class EnginePool
     std::int64_t breaker_opens(const Engine &engine) const;
 
     EnginePoolOptions options_;
-    GuardPolicy full_policy_;
-    GuardPolicy brownout_policy_;
     std::shared_ptr<ConstantPackCache> pack_cache_;
     std::vector<std::shared_ptr<ExecutionMonitor>> monitors_;
     std::size_t replica_storage_count_ = 0;
@@ -464,7 +438,6 @@ class EnginePool
     /** Real-time acquirers currently blocked waiting for a lease;
      *  while nonzero, normal-priority acquirers stand aside. */
     std::size_t rt_waiters_ = 0;
-    bool degraded_mode_ = false;
     std::size_t canary_replica_ = kNoReplica;
     double canary_fraction_ = 0;
     double canary_credit_ = 0;

@@ -4,10 +4,10 @@
  * circuit breakers.
  *
  * The watchdog (watchdog.hpp) catches kernels that hang and the
- * fallback policy (engine.hpp) catches kernels that throw — but a
+ * per-step circuit breaker catches kernels that throw — but a
  * fast-but-miscompiled kernel that silently writes wrong numbers
- * triggers neither. The guard layer closes that gap with three
- * mechanisms, all off by default and costing one branch when off:
+ * triggers neither. The guard layer closes that gap with two
+ * detectors and lets the breaker recover, all off by default:
  *
  *  1. Output scanning: after each plan step, outputs are scanned for
  *     NaN/Inf and magnitude blow-ups in one vectorized pass.
@@ -15,12 +15,15 @@
  *     non-reference kernel, the step is re-run on the reference
  *     implementation and the results compared with absolute/relative/
  *     ULP tolerance, flagging divergence no scan can see.
- *  3. A per-step circuit breaker over a per-kernel health ledger
- *     (kernel_registry.hpp): repeated confirmed guard trips or kernel
- *     faults open the breaker, routing the step to the reference
- *     kernel; after a cool-down, a half-open probe re-tries the fast
- *     kernel (verified by a forced shadow comparison) so transient
- *     failures recover instead of degrading forever.
+ *  3. Breaker recovery. The per-step circuit breaker (StepHealth) is
+ *     the engine's only kernel-fallback path: kernel faults and
+ *     watchdog demotions open it with or without the guard, routing
+ *     the step to the reference kernel. With the guard, confirmed
+ *     trips open it too (after open_after_trips), and after a
+ *     cool-down a half-open probe re-tries the fast kernel (verified
+ *     by a forced shadow comparison) so transient failures recover
+ *     instead of degrading forever. Without the guard it opens on the
+ *     first fault and stays open until restore_step().
  *
  * A trip is only *confirmed* against the reference implementation: an
  * overflow-prone model that legitimately produces Inf does so on every
@@ -49,7 +52,8 @@ namespace orpheus {
 
 /** What the guard checks and how the breaker reacts (EngineOptions). */
 struct GuardPolicy {
-    /** Master switch; false keeps execution on the unguarded path. */
+    /** Master switch: output scanning, shadow sampling and breaker
+     *  recovery. */
     bool enabled = false;
 
     /** Scan step outputs for NaN/Inf. */
@@ -94,7 +98,7 @@ struct GuardPolicy {
     double cooldown_ms = 250.0;
 
     /** Allow half-open probes at all; false makes an open breaker
-     *  permanent (the pre-guard demotion behaviour). */
+     *  permanent (what a disabled guard always does). */
     bool allow_recovery = true;
 };
 
@@ -156,8 +160,8 @@ enum class BreakerState {
 
 const char *to_string(BreakerState state);
 
-/** Per-step health ledger driving the breaker (introspectable via
- *  Engine::steps()). */
+/** Per-step health record driving the breaker (introspectable via
+ *  Engine::steps(); summed per kernel by kernel_health()). */
 struct StepHealth {
     BreakerState state = BreakerState::kClosed;
     /** Confirmed trips/faults since the last clean execution. */

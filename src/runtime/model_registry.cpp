@@ -135,7 +135,8 @@ ModelRegistry::probe_canary(std::size_t replica, double deadline_ms)
         if (tensor.dtype() != DataType::kFloat32 || !tensor.has_storage())
             continue;
         const float *data = tensor.data<float>();
-        for (std::int64_t i = 0; i < tensor.numel(); ++i)
+        const std::int64_t count = tensor.numel();
+        for (std::int64_t i = 0; i < count; ++i)
             if (!std::isfinite(data[i]))
                 return data_corruption_error(
                     "canary probe output '" + name +

@@ -237,7 +237,6 @@ InferenceService::submit(std::map<std::string, Tensor> inputs,
     request.priority = priority;
     request.enqueued = std::chrono::steady_clock::now();
     lanes_[lane].push_back(std::move(request));
-    update_brownout_locked();
     lock.unlock();
     work_ready_.notify_one();
     return future;
@@ -311,10 +310,8 @@ InferenceService::next_lane_locked()
         return top;
 
     // Aging: the most-starved lower lane that reached the credit limit
-    // wins the pop. Suspended while browned out — under overload the
-    // scheduler is strictly class-ordered so real-time always goes
-    // first.
-    if (!brownout_ && options_.aging_credit_limit > 0) {
+    // wins the pop.
+    if (options_.aging_credit_limit > 0) {
         for (std::size_t lane = kPriorityClasses; lane-- > top + 1;) {
             if (!lanes_[lane].empty() &&
                 aging_credit_[lane] >= options_.aging_credit_limit) {
@@ -338,8 +335,6 @@ InferenceService::worker_loop(std::size_t worker)
     std::minstd_rand rng(static_cast<unsigned>(0x9e3779b9u + worker));
     while (true) {
         std::vector<Request> batch;
-        bool shed_batch = false;
-        bool infeasible_interactive = false;
         std::size_t lane = 0;
         {
             std::unique_lock<std::mutex> lock(mutex_);
@@ -354,54 +349,19 @@ InferenceService::worker_loop(std::size_t worker)
             batch.push_back(std::move(lanes_[lane].front()));
             lanes_[lane].pop_front();
             ++in_flight_;
-            update_brownout_locked();
-            Request &leader = batch.front();
-            if (brownout_ &&
-                leader.priority == RequestPriority::kBatch) {
-                shed_batch = true;
-                ++stats_.brownout_shed;
-                ++stats_.class_shed[lane];
-            } else if (brownout_ && leader.priority ==
-                                        RequestPriority::kInteractive) {
-                // Bottom-up degradation, step two: under brownout an
-                // interactive request past its feasibility margin (one
-                // typical service time) fails fast instead of burning
-                // a replica lease on a guaranteed miss. Real-time work
-                // is never vetted here — it always dispatches.
-                const double margin =
-                    class_service_[lane].count() > 0
-                        ? class_service_[lane].percentile(0.50)
-                        : 0.0;
-                infeasible_interactive =
-                    !leader.token.can_cover_ms(margin);
-            } else if (!leader.token.expired()) {
-                // Dynamic batching: coalesce more same-lane work
-                // behind this leader before dispatching.
+            // Dynamic batching: coalesce more same-lane work behind
+            // this leader before dispatching.
+            if (!batch.front().token.expired())
                 assemble_batch_locked(lock, lane, batch);
-            }
         }
 
         std::vector<InferenceResponse> responses(batch.size());
-
-        if (shed_batch) {
-            responses.front().queue_ms =
-                elapsed_ms_since(batch.front().enqueued);
-            responses.front().status = resource_exhausted_error(
-                "brownout: shedding batch-priority work under overload");
-        } else if (infeasible_interactive) {
-            responses.front().queue_ms =
-                elapsed_ms_since(batch.front().enqueued);
-            responses.front().status = deadline_exceeded_error(
-                "brownout: interactive request deferred past its "
-                "feasibility margin");
-        } else {
-            dispatch_batch(lane, batch, responses, rng);
-        }
+        dispatch_batch(lane, batch, responses, rng);
 
         {
             std::lock_guard<std::mutex> lock(mutex_);
             for (const InferenceResponse &response : responses)
-                finish_request_locked(lane, shed_batch, response);
+                finish_request_locked(lane, response);
         }
         for (std::size_t i = 0; i < batch.size(); ++i)
             batch[i].promise.set_value(std::move(responses[i]));
@@ -601,7 +561,7 @@ InferenceService::dispatch_batch(std::size_t lane,
 }
 
 void
-InferenceService::finish_request_locked(std::size_t lane, bool shed,
+InferenceService::finish_request_locked(std::size_t lane,
                                         const InferenceResponse &response)
 {
     if (response.status.is_ok())
@@ -611,32 +571,21 @@ InferenceService::finish_request_locked(std::size_t lane, bool shed,
         ++stats_.class_deadline_miss[lane];
     } else if (response.status.code() == StatusCode::kDataCorruption)
         ++stats_.data_corruption;
-    else if (shed)
-        ; // Counted as brownout_shed, not a failure.
     else
         ++stats_.failed;
-    if (!shed) {
-        // Per-class accounting covers every worker-finished request
-        // (deadline misses land at their queue time) so histogram
-        // counts + sheds partition `submitted`.
-        const double total = response.queue_ms + response.run_ms;
-        class_latency_[lane].record(total);
-        ++stats_.class_count[lane];
-        if (response.status.is_ok() && response.run_ms > 0)
-            class_service_[lane].record(response.run_ms);
-    }
-    if (!shed && response.run_ms > 0) {
-        const double total = response.queue_ms + response.run_ms;
+    // Per-class accounting covers every worker-finished request
+    // (deadline misses land at their queue time) so histogram counts +
+    // sheds partition `submitted`.
+    const double total = response.queue_ms + response.run_ms;
+    class_latency_[lane].record(total);
+    ++stats_.class_count[lane];
+    if (response.status.is_ok() && response.run_ms > 0)
+        class_service_[lane].record(response.run_ms);
+    if (response.run_ms > 0)
         latency_.record(total);
-        recent_latency_[recent_next_] = total;
-        recent_next_ = (recent_next_ + 1) % recent_latency_.size();
-        recent_count_ =
-            std::min(recent_count_ + 1, recent_latency_.size());
-    }
     // Each dispatched request earns retry credit.
-    if (!shed)
-        retry_tokens_ = std::min(retry_token_cap_,
-                                 retry_tokens_ + options_.retry_budget);
+    retry_tokens_ = std::min(retry_token_cap_,
+                             retry_tokens_ + options_.retry_budget);
     --in_flight_;
 }
 
@@ -743,63 +692,6 @@ InferenceService::try_consume_retry_token()
 }
 
 void
-InferenceService::update_brownout_locked()
-{
-    if (!options_.enable_brownout)
-        return;
-    const std::size_t high =
-        options_.brownout_high_watermark > 0
-            ? options_.brownout_high_watermark
-            : std::max<std::size_t>(1, options_.max_queue_depth * 3 / 4);
-    const std::size_t low = options_.brownout_low_watermark > 0
-                                ? options_.brownout_low_watermark
-                                : options_.max_queue_depth / 4;
-    const bool latency_trigger =
-        options_.brownout_p99_ms > 0 &&
-        recent_p99_locked() > options_.brownout_p99_ms;
-    const bool latency_calm =
-        options_.brownout_p99_ms <= 0 ||
-        recent_p99_locked() <= options_.brownout_p99_ms;
-
-    const std::size_t queued = queued_locked();
-    if (!brownout_ && (queued >= high || latency_trigger)) {
-        brownout_ = true;
-        ++stats_.brownout_entered;
-        pool_->set_degraded_mode(true);
-        ORPHEUS_WARN("service: brownout ENTER (queue "
-                     << queued << "/" << options_.max_queue_depth
-                     << ", high watermark " << high
-                     << "): shedding batch work, degrading replicas");
-    } else if (brownout_ && queued <= low && latency_calm) {
-        brownout_ = false;
-        ++stats_.brownout_exited;
-        pool_->set_degraded_mode(false);
-        ORPHEUS_WARN("service: brownout EXIT (queue " << queued
-                                                      << " <= " << low
-                                                      << "): restoring "
-                                                         "full fidelity");
-    }
-}
-
-double
-InferenceService::recent_p99_locked() const
-{
-    if (recent_count_ == 0)
-        return 0;
-    std::array<double, 128> window{};
-    std::copy_n(recent_latency_.begin(), recent_count_, window.begin());
-    const std::size_t rank =
-        std::min(recent_count_ - 1,
-                 static_cast<std::size_t>(
-                     static_cast<double>(recent_count_) * 0.99));
-    std::nth_element(window.begin(),
-                     window.begin() + static_cast<std::ptrdiff_t>(rank),
-                     window.begin() +
-                         static_cast<std::ptrdiff_t>(recent_count_));
-    return window[rank];
-}
-
-void
 InferenceService::on_hang(const HangReport &report)
 {
     {
@@ -867,13 +759,6 @@ InferenceService::queue_depth(RequestPriority priority) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return lanes_[priority_index(priority)].size();
-}
-
-bool
-InferenceService::browned_out() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return brownout_;
 }
 
 void

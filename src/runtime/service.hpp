@@ -39,14 +39,11 @@
  *    *different* healthy replica with exponential backoff + jitter,
  *    inside the request's original deadline and a retry budget
  *    (a bounded fraction of recent traffic) that stops retry storms.
- *  - Overload brownout: when queue depth or the recent latency tail
- *    crosses thresholds the service degrades bottom-up — batch work
- *    is shed at dispatch, interactive work past its feasibility
- *    margin fails fast instead of burning a lease, real-time work
- *    always dispatches first (aging is suspended) and skips the retry
- *    token bucket — and replicas drop to a cheaper no-shadow guard
- *    mode instead of hard-rejecting everything, restoring full
- *    fidelity when pressure subsides.
+ *  - Overload: the class lanes and feasibility admission above are
+ *    the single overload path. Batch work defers behind higher
+ *    classes and is refused first when its lane fills; real-time work
+ *    dispatches first, leases ahead of normal acquirers and skips the
+ *    retry token bucket.
  *
  * Concurrency model: each of the N worker threads leases a private
  * replica per request, so requests on different workers never share
@@ -82,14 +79,15 @@ namespace orpheus {
 /**
  * Latency class of a request. Each class has its own queue lane,
  * depth limit, default SLO budget and latency histogram; degradation
- * escalates bottom-up (batch sheds first, real-time last — never).
+ * escalates bottom-up (batch defers first, real-time last).
  */
 enum class RequestPriority {
     kRealtime = 0, ///< Hard-deadline work: shallow lane, always
-                   ///< dispatched first, never shed by brownout,
-                   ///< retries bypass the token bucket.
+                   ///< dispatched first, retries bypass the token
+                   ///< bucket.
     kInteractive,  ///< Default: latency-sensitive request/response.
-    kBatch,        ///< Throughput work: first to defer and shed.
+    kBatch,        ///< Throughput work: first to defer, and first to
+                   ///< be shed by a tight shutdown.
 };
 
 /** Number of latency classes (size of per-class option/stat arrays). */
@@ -129,8 +127,8 @@ struct ServiceOptions {
 
     /** Aging credit limit: a nonempty lower lane bypassed this many
      *  times by higher-class pops gets the next pop regardless of
-     *  class, so batch work cannot starve forever. Suspended while
-     *  browned out (real-time strictly wins under overload). */
+     *  class, so batch work cannot starve forever. 0 disables aging
+     *  (strict class priority). */
     int aging_credit_limit = 8;
 
     /** Deadline-feasibility admission: reject at submit (with
@@ -211,20 +209,6 @@ struct ServiceOptions {
 
     /** Replica health penalty that triggers quarantine. */
     double quarantine_threshold = 3.0;
-
-    // --- Brownout ---------------------------------------------------------
-
-    /** Master switch for overload brownout. */
-    bool enable_brownout = false;
-
-    /** Queue depth entering/leaving brownout (0 = derived from
-     *  max_queue_depth: 3/4 high, 1/4 low; hysteresis). */
-    std::size_t brownout_high_watermark = 0;
-    std::size_t brownout_low_watermark = 0;
-
-    /** Recent-window P99 latency (queue + run) that also triggers
-     *  brownout; 0 disables the latency trigger. */
-    double brownout_p99_ms = 0;
 
     /** Per-replica fault injectors for chaos harnesses (forwarded to
      *  the pool; entry i overrides the engine options for replica i). */
@@ -316,12 +300,6 @@ struct ServiceStats {
     std::int64_t probes = 0;
     std::int64_t readmissions = 0;
 
-    // --- Brownout ---------------------------------------------------------
-    std::int64_t brownout_entered = 0;
-    std::int64_t brownout_exited = 0;
-    /** Batch-priority requests shed while browned out. */
-    std::int64_t brownout_shed = 0;
-
     // --- Latency classes --------------------------------------------------
     /** Rejected at submission: the remaining deadline budget could
      *  not cover the estimated queue wait (already-expired deadlines
@@ -339,8 +317,7 @@ struct ServiceStats {
     std::array<double, kPriorityClasses> class_p50_ms{};
     std::array<double, kPriorityClasses> class_p99_ms{};
     std::array<double, kPriorityClasses> class_p999_ms{};
-    /** Per-class requests shed without dispatch (brownout batch
-     *  shedding plus shutdown shedding). */
+    /** Per-class requests shed without dispatch by shutdown. */
     std::array<std::int64_t, kPriorityClasses> class_shed{};
     /** Per-class share of rejected_infeasible. */
     std::array<std::int64_t, kPriorityClasses> class_infeasible{};
@@ -418,8 +395,8 @@ class InferenceService
      * the service default; @p memory_budget_bytes overrides the
      * service budget when non-zero. @p priority selects the latency
      * class: its lane, depth limit, histogram and degradation order —
-     * batch work is deferred and shed first under overload, real-time
-     * work dispatches first and is never shed.
+     * batch work is deferred first under overload, real-time work
+     * dispatches first.
      */
     std::future<InferenceResponse>
     submit(std::map<std::string, Tensor> inputs,
@@ -441,10 +418,6 @@ class InferenceService
 
     /** Requests currently queued in @p priority's lane. */
     std::size_t queue_depth(RequestPriority priority) const;
-
-    /** True while the service is shedding batch work / running
-     *  replicas in degraded mode. */
-    bool browned_out() const;
 
     /**
      * Stops the service: pending queued requests complete with
@@ -533,7 +506,7 @@ class InferenceService
     /** Completion accounting for one finished request (status
      *  counters, per-class histograms, retry-token earn, in_flight_).
      *  Caller holds mutex_. */
-    void finish_request_locked(std::size_t lane, bool shed,
+    void finish_request_locked(std::size_t lane,
                                const InferenceResponse &response);
     /** Consumes one retry token; false (and a denied count) when the
      *  budget is exhausted. */
@@ -559,10 +532,6 @@ class InferenceService
      *  kPriorityClasses when all lanes are empty. Caller holds
      *  mutex_. */
     std::size_t next_lane_locked();
-    /** Re-evaluates brownout state from queue depth and the recent
-     *  latency window. Caller holds mutex_. */
-    void update_brownout_locked();
-    double recent_p99_locked() const;
     void on_hang(const HangReport &report);
 
     EngineOptions engine_options_;
@@ -575,7 +544,7 @@ class InferenceService
     std::int64_t batch_capacity_ = 1;
 
     mutable std::mutex mutex_; ///< Guards lanes_, stats_, histograms,
-                               ///< brownout and retry-budget state,
+                               ///< retry-budget state,
                                ///< stopping_, draining_, in_flight_.
     std::condition_variable work_ready_;
     /** Per-class lanes, indexed by RequestPriority. */
@@ -593,13 +562,8 @@ class InferenceService
     /** Per-class execution time only (successful runs); feeds the
      *  feasibility-admission wait estimate. */
     std::array<LatencyHistogram, kPriorityClasses> class_service_;
-    /** Recent total latencies (ms) for the brownout P99 trigger. */
-    std::array<double, 128> recent_latency_{};
-    std::size_t recent_count_ = 0;
-    std::size_t recent_next_ = 0;
     double retry_tokens_ = 0;
     double retry_token_cap_ = 0;
-    bool brownout_ = false;
     bool stopping_ = false;
     /** Admission closed by shutdown(); workers keep draining. */
     bool draining_ = false;

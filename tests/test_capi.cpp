@@ -1,6 +1,7 @@
 /** @file Tests for the C ABI (the binding surface). */
 #include "capi/orpheus_c.h"
 
+#include <cstddef>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -13,6 +14,53 @@
 #include "onnx/exporter.hpp"
 
 namespace {
+
+// The service structs are ABI: fields are only ever appended, and
+// retired slots keep their place. These pin the LP64 layout.
+#if defined(__x86_64__) || defined(__aarch64__)
+static_assert(sizeof(orpheus_service_config) == 88);
+static_assert(offsetof(orpheus_service_config, workers) == 0);
+static_assert(offsetof(orpheus_service_config, replicas) == 4);
+static_assert(offsetof(orpheus_service_config, warm_spares) == 8);
+static_assert(offsetof(orpheus_service_config, max_queue_depth) == 12);
+static_assert(offsetof(orpheus_service_config, max_retries) == 16);
+static_assert(offsetof(orpheus_service_config, retry_budget) == 24);
+static_assert(offsetof(orpheus_service_config, default_deadline_ms) == 32);
+static_assert(offsetof(orpheus_service_config, hang_threshold_ms) == 40);
+static_assert(offsetof(orpheus_service_config, enable_guard) == 48);
+static_assert(offsetof(orpheus_service_config, enable_brownout) == 52);
+static_assert(offsetof(orpheus_service_config, rt_queue_depth) == 56);
+static_assert(offsetof(orpheus_service_config, class_deadline_ms) == 64);
+
+static_assert(sizeof(orpheus_service_stats) == 328);
+static_assert(offsetof(orpheus_service_stats, submitted) == 0);
+static_assert(offsetof(orpheus_service_stats, completed_ok) == 8);
+static_assert(offsetof(orpheus_service_stats, deadline_exceeded) == 16);
+static_assert(offsetof(orpheus_service_stats, data_corruption) == 24);
+static_assert(offsetof(orpheus_service_stats, failed) == 32);
+static_assert(offsetof(orpheus_service_stats, watchdog_hangs) == 40);
+static_assert(offsetof(orpheus_service_stats, demotions) == 48);
+static_assert(offsetof(orpheus_service_stats, retries) == 56);
+static_assert(offsetof(orpheus_service_stats, retry_budget_denied) == 64);
+static_assert(offsetof(orpheus_service_stats, quarantines) == 72);
+static_assert(offsetof(orpheus_service_stats, readmissions) == 80);
+static_assert(offsetof(orpheus_service_stats, brownout_shed) == 88);
+static_assert(offsetof(orpheus_service_stats, latency_p50_ms) == 96);
+static_assert(offsetof(orpheus_service_stats, latency_p99_ms) == 104);
+static_assert(offsetof(orpheus_service_stats, latency_p999_ms) == 112);
+static_assert(offsetof(orpheus_service_stats, active_generation) == 120);
+static_assert(offsetof(orpheus_service_stats, model_rollbacks) == 128);
+static_assert(offsetof(orpheus_service_stats, model_swaps) == 136);
+static_assert(offsetof(orpheus_service_stats, canary_routed) == 144);
+static_assert(offsetof(orpheus_service_stats, rejected_infeasible) == 152);
+static_assert(offsetof(orpheus_service_stats, class_count) == 160);
+static_assert(offsetof(orpheus_service_stats, class_p50_ms) == 184);
+static_assert(offsetof(orpheus_service_stats, class_p99_ms) == 208);
+static_assert(offsetof(orpheus_service_stats, class_p999_ms) == 232);
+static_assert(offsetof(orpheus_service_stats, class_shed) == 256);
+static_assert(offsetof(orpheus_service_stats, class_infeasible) == 280);
+static_assert(offsetof(orpheus_service_stats, class_deadline_miss) == 304);
+#endif
 
 TEST(CApi, VersionAndInitialError)
 {
@@ -337,6 +385,34 @@ TEST(CApi, ServiceLifecycleRunAndStats)
     orpheus_service_destroy(nullptr); // Must be a safe no-op.
     EXPECT_EQ(orpheus_service_create_zoo(nullptr, nullptr, &config),
               nullptr);
+}
+
+/** The retired brownout slots: enable_brownout is ignored and
+ *  brownout_shed always reads 0. */
+TEST(CApi, RetiredBrownoutSlotsAreInert)
+{
+    orpheus_service_config config{};
+    config.workers = 1;
+    config.enable_brownout = 1;
+    orpheus_service *service =
+        orpheus_service_create_zoo("tiny-cnn", nullptr, &config);
+    ASSERT_NE(service, nullptr) << orpheus_last_error();
+
+    std::vector<float> input(3 * 8 * 8, 0.5f);
+    std::vector<float> output(10);
+    for (int i = 0; i < 3; ++i)
+        ASSERT_EQ(orpheus_service_run(service, input.data(), input.size(),
+                                      output.data(), output.size(),
+                                      ORPHEUS_PRIORITY_BATCH, 0, nullptr),
+                  ORPHEUS_OK)
+            << orpheus_last_error();
+
+    orpheus_service_stats stats{};
+    stats.brownout_shed = -1;
+    ASSERT_EQ(orpheus_service_query_stats(service, &stats), ORPHEUS_OK);
+    EXPECT_EQ(stats.completed_ok, 3);
+    EXPECT_EQ(stats.brownout_shed, 0);
+    orpheus_service_destroy(service);
 }
 
 TEST(CApi, ServiceReloadAndShutdown)

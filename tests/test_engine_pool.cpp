@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests for the resilient engine pool (runtime/engine_pool.hpp) and
- * the retry/brownout machinery the InferenceService builds on it:
+ * the retry machinery the InferenceService builds on it:
  * shared prepacked-constant caches (one allocation per model, not per
  * replica), bitwise-identical replica outputs, health-driven
  * quarantine with probe-gated readmission, warm-spare promotion,
  * fail-fast when every replica is quarantined, failover retries on a
- * different replica, the retry-storm budget, deadline expiry during
- * retry backoff, and brownout shedding of batch-priority work.
+ * different replica, the retry-storm budget, and deadline expiry
+ * during retry backoff.
  */
 #include "runtime/engine_pool.hpp"
 
@@ -168,19 +168,6 @@ std::map<std::string, Tensor>
 cnn_inputs(std::uint64_t seed)
 {
     return {{"input", make_random(Shape({1, 3, 8, 8}), seed)}};
-}
-
-/** Spin until the worker has dequeued everything (requests may still
- *  be executing). */
-void
-wait_for_empty_queue(const InferenceService &service)
-{
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (service.queue_depth() > 0 &&
-           std::chrono::steady_clock::now() < give_up)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ASSERT_EQ(service.queue_depth(), 0u);
 }
 
 /** Engine options pinning convolutions to a pack-bearing backend so
@@ -583,59 +570,6 @@ TEST(ServiceRetry, DeadlineExpiresDuringBackoff)
               std::string::npos)
         << response.status.to_string();
     EXPECT_EQ(service.stats().deadline_exceeded, 1);
-}
-
-// --- Brownout ---------------------------------------------------------------
-
-TEST(ServiceBrownout, ShedsBatchPriorityWorkUnderOverload)
-{
-    set_global_num_threads(1);
-    EngineOptions engine_options;
-    engine_options.fault_injector = std::make_shared<FaultInjector>();
-    // Stall the first dispatched request so the queue fills behind it.
-    engine_options.fault_injector->arm_delay("", "", /*delay_ms=*/400,
-                                             /*delay_from_call=*/0,
-                                             /*max_delays=*/1);
-
-    ServiceOptions options;
-    options.workers = 1;
-    options.replicas = 1;
-    options.max_queue_depth = 4;
-    options.enable_watchdog = false;
-    options.enable_brownout = true;
-    // Enter at 3 queued requests, exit at 1.
-    options.brownout_high_watermark = 3;
-    options.brownout_low_watermark = 1;
-
-    InferenceService service(models::tiny_cnn(), engine_options, options);
-
-    auto in_flight = service.submit(cnn_inputs(0xb0));
-    wait_for_empty_queue(service); // The worker is now inside the delay.
-    std::vector<std::future<InferenceResponse>> batch;
-    for (int i = 0; i < 4; ++i)
-        batch.push_back(service.submit(cnn_inputs(0xb1 + i), {}, 0,
-                                       RequestPriority::kBatch));
-    EXPECT_TRUE(service.browned_out());
-
-    EXPECT_TRUE(in_flight.get().status.is_ok());
-    int shed = 0;
-    for (auto &future : batch) {
-        const InferenceResponse response = future.get();
-        if (response.status.code() == StatusCode::kResourceExhausted) {
-            ++shed;
-            EXPECT_NE(response.status.message().find("brownout"),
-                      std::string::npos);
-        }
-    }
-    EXPECT_GE(shed, 2);
-
-    const ServiceStats stats = service.stats();
-    EXPECT_GE(stats.brownout_entered, 1);
-    EXPECT_EQ(stats.brownout_shed, shed);
-    EXPECT_GE(stats.brownout_exited, 1)
-        << "draining the queue below the low watermark must restore "
-           "full fidelity";
-    EXPECT_FALSE(service.browned_out());
 }
 
 // --- Latency histogram ------------------------------------------------------

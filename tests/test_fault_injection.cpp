@@ -3,8 +3,8 @@
  * Fault-injection tests for the engine's kernel-fallback policy.
  *
  * A FaultInjector makes an optimised kernel throw exactly where a
- * misbehaving backend would; the engine must degrade the step to the
- * reference implementation and keep producing correct results. Because
+ * misbehaving backend would; the step's circuit breaker must route it
+ * to the reference implementation and keep producing correct results. Because
  * every kernel is deterministic, a degraded run must match a run pinned
  * to the reference kernel bit for bit — not merely within tolerance.
  */
@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <memory>
+#include <thread>
 
 #include "core/rng.hpp"
 #include "models/model_zoo.hpp"
@@ -167,7 +168,7 @@ TEST(EngineFaultTolerance, ConvFallsBackToReferenceBitwise)
         if (step.op_type != op_names::kConv)
             continue;
         EXPECT_TRUE(step.degraded) << step.node_name;
-        EXPECT_EQ(step.layer->impl_name(), "direct") << step.node_name;
+        EXPECT_EQ(step.active_impl(), "direct") << step.node_name;
         ++degraded_convs;
     }
     EXPECT_GE(degraded_convs, 2);
@@ -230,7 +231,7 @@ TEST(EngineFaultTolerance, ThirdPartyMatMulFallsBackToReferenceBitwise)
     EXPECT_EQ(injected_options.fault_injector->faults_injected(), 1);
     ASSERT_EQ(injected.steps().size(), 1u);
     EXPECT_TRUE(injected.steps().front().degraded);
-    EXPECT_EQ(injected.steps().front().layer->impl_name(), "reference");
+    EXPECT_EQ(injected.steps().front().active_impl(), "reference");
 }
 
 /** Every registered non-reference Conv backend, forced and then failed,
@@ -257,7 +258,7 @@ TEST(EngineFaultTolerance, EveryConvBackendFallsBackToReferenceBitwise)
         EXPECT_GE(options.fault_injector->faults_injected(), 1) << impl;
         for (const PlanStep &step : injected.steps()) {
             if (step.op_type == op_names::kConv) {
-                EXPECT_EQ(step.layer->impl_name(), "direct") << impl;
+                EXPECT_EQ(step.active_impl(), "direct") << impl;
             }
         }
     }
@@ -288,19 +289,46 @@ TEST(EngineFaultTolerance, MidRunFaultDegradesOnlyTheFailingStep)
     EXPECT_EQ(degraded_steps, 1);
 }
 
-// --- Policy off / no fallback available -----------------------------------
-
-TEST(EngineFaultTolerance, FallbackDisabledPropagatesKernelFault)
+/**
+ * The guard-off fallback contract: the breaker opens on the first
+ * fault, never half-opens on its own (however long it cools down), and
+ * restore_step re-promotes the plan-time kernel.
+ */
+TEST(EngineFaultTolerance, GuardOffBreakerOpensOnFirstFaultAndStaysOpen)
 {
+    auto injector = std::make_shared<FaultInjector>();
     EngineOptions options;
-    options.fallback_on_kernel_fault = false;
-    options.fault_injector = std::make_shared<FaultInjector>();
-    options.fault_injector->arm("", "");
-    Engine engine(models::tiny_cnn(), options);
+    options.backend.forced_impl["MatMul"] = "minnl";
+    options.fault_injector = injector;
+    Engine engine(matmul_graph(), options);
+    injector->arm("", "minnl", /*fail_from_call=*/0, /*max_faults=*/1);
 
-    Tensor input = make_random(Shape({1, 3, 8, 8}), 0xfa06);
-    EXPECT_THROW(engine.run(input), KernelFault);
+    Tensor input = make_random(Shape({4, 8}), 0xfa06);
+    engine.run(input);
+    const PlanStep &step = engine.steps().front();
+    EXPECT_EQ(step.health.state, BreakerState::kOpen);
+    EXPECT_EQ(step.health.faults_total, 1);
+    EXPECT_EQ(step.health.opens_total, 1);
+    EXPECT_EQ(step.active_impl(), "reference");
+
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+        GuardPolicy{}.cooldown_ms + 50.0));
+    engine.run(input);
+    EXPECT_EQ(step.health.state, BreakerState::kOpen);
+    EXPECT_EQ(step.active_impl(), "reference");
+    EXPECT_EQ(step.health.recoveries_total, 0);
+
+    engine.restore_step(0);
+    EXPECT_EQ(step.health.state, BreakerState::kClosed);
+    EXPECT_FALSE(step.degraded);
+    EXPECT_EQ(step.active_impl(), "minnl");
+    EngineOptions clean_options;
+    clean_options.backend.forced_impl["MatMul"] = "minnl";
+    Engine clean(matmul_graph(), clean_options);
+    EXPECT_EQ(max_abs_diff(engine.run(input), clean.run(input)), 0.0f);
 }
+
+// --- No fallback available ------------------------------------------------
 
 /** With the SIMD tier disabled, Gemm has only the reference
  *  implementation registered, so a fault there has nowhere to fall

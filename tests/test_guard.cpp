@@ -603,8 +603,8 @@ TEST(GuardedEngine, DemoteStepOpensBreakerAndRestoreStepCloses)
     EXPECT_EQ(max_abs_diff(engine.run(input), clean.run(input)), 0.0f);
 }
 
-/** restore_step also reverses the legacy (guard-off) permanent
- *  degradation, fixing the old one-way demotion. */
+/** restore_step also reverses the guard-off fallback, whose breaker
+ *  never half-opens on its own. */
 TEST(GuardedEngine, RestoreStepReversesLegacyDegradation)
 {
     auto injector = std::make_shared<FaultInjector>();
@@ -652,33 +652,48 @@ TEST(GuardedEngine, CleanGuardedRunMatchesUnguardedBitwise)
     }
 }
 
-// --- Kernel health ledger -------------------------------------------------
+// --- Kernel-health table ---------------------------------------------------
 
-TEST(KernelHealthLedger, AccumulatesAcrossEngines)
+/** The CLI's kernel-health table is derived from the engines' StepHealth:
+ *  two engines faulting on the same kernel sum into one row. */
+TEST(KernelHealthTable, SumsStepHealthAcrossEngines)
 {
-    KernelHealthLedger &ledger = KernelRegistry::instance().health();
-    ledger.reset();
-
-    auto injector = std::make_shared<FaultInjector>();
-    EngineOptions options;
-    options.backend.forced_impl["MatMul"] = "minnl";
-    options.guard = enabled_policy();
-    options.fault_injector = injector;
-    injector->arm_corruption("", "minnl", CorruptionKind::kNaNPoke);
-    Engine engine(matmul_graph(), options);
-
     Tensor input = make_random(Shape({4, 8}), 0x6a10);
     std::map<std::string, Tensor> outputs;
-    for (int i = 0; i < 2; ++i)
-        engine.try_run({{"x", input}}, outputs);
 
-    const KernelHealthRecord record = ledger.record("MatMul.minnl");
-    EXPECT_EQ(record.guard_trips, 2);
-    EXPECT_EQ(record.breaker_opens, 1);
-    EXPECT_EQ(kernel_health_id("MatMul", "minnl"), "MatMul.minnl");
-    EXPECT_EQ(ledger.record("MatMul.never_seen").guard_trips, 0);
-    ledger.reset();
-    EXPECT_TRUE(ledger.snapshot().empty());
+    // Guarded engine: two confirmed corruptions open the breaker.
+    auto corrupting = std::make_shared<FaultInjector>();
+    corrupting->arm_corruption("", "minnl", CorruptionKind::kNaNPoke);
+    EngineOptions guarded_options;
+    guarded_options.backend.forced_impl["MatMul"] = "minnl";
+    guarded_options.guard = enabled_policy();
+    guarded_options.fault_injector = corrupting;
+    Engine guarded(matmul_graph(), guarded_options);
+    for (int i = 0; i < 2; ++i)
+        guarded.try_run({{"x", input}}, outputs);
+
+    // Unguarded engine: one thrown fault opens the breaker at once.
+    auto faulting = std::make_shared<FaultInjector>();
+    faulting->arm("", "minnl");
+    EngineOptions plain_options;
+    plain_options.backend.forced_impl["MatMul"] = "minnl";
+    plain_options.fault_injector = faulting;
+    Engine plain(matmul_graph(), plain_options);
+    ASSERT_TRUE(plain.try_run({{"x", input}}, outputs).is_ok());
+
+    // A clean engine adds no row.
+    Engine clean(matmul_graph(), {});
+    clean.run(input);
+
+    const auto table = kernel_health({&guarded, &plain, &clean});
+    ASSERT_EQ(table.size(), 1u);
+    const auto row = table.find("MatMul.minnl");
+    ASSERT_NE(row, table.end());
+    EXPECT_EQ(row->second.trips, 2);
+    EXPECT_EQ(row->second.faults, 1);
+    EXPECT_EQ(row->second.opens, 2);
+    EXPECT_EQ(row->second.recoveries, 0);
+    EXPECT_TRUE(kernel_health({&clean}).empty());
 }
 
 TEST(GuardToStrings, AreStable)

@@ -30,7 +30,6 @@
  *   --warm-spares <n>   compiled spare replicas (default 0)
  *   --max-retries <n>   failover retries per request (default 0)
  *   --retry-budget <f>  retry tokens earned per request (default 0.2)
- *   --brownout          shed batch work / degrade replicas on overload
  *   --max-batch <n>     fuse up to n queued requests per engine run
  *   --batch-window-ms <ms>  max wait for co-batched requests (default 0:
  *                       coalesce only what is already queued)
@@ -101,7 +100,6 @@ struct CliOptions {
     int warm_spares = 0;
     int max_retries = 0;
     double retry_budget = 0.2;
-    bool brownout = false;
     /** --class/--priority: latency classes assigned to serve clients
      *  round-robin; empty keeps run on the bare-engine path. */
     std::string traffic_class;
@@ -168,7 +166,7 @@ usage()
         "  serve:   --clients <n> --requests <n> --queue-depth <n> "
         "--deadline-ms <ms> --workers <n>\n"
         "           --replicas <n> --warm-spares <n> --max-retries <n> "
-        "--retry-budget <f> --brownout\n"
+        "--retry-budget <f>\n"
         "           --max-batch <n> --batch-window-ms <ms>\n"
         "  classes (run/serve): --class <realtime|interactive|batch>[,"
         "...] --priority <class> --rt-queue-depth <n> "
@@ -223,8 +221,6 @@ parse_options(int argc, char **argv, int first)
             options.max_retries = std::stoi(next_value("--max-retries"));
         else if (arg == "--retry-budget")
             options.retry_budget = std::stod(next_value("--retry-budget"));
-        else if (arg == "--brownout")
-            options.brownout = true;
         else if (arg == "--class" || arg == "--priority")
             options.traffic_class = next_value(arg.c_str());
         else if (arg == "--rt-queue-depth")
@@ -374,25 +370,23 @@ apply_guard_and_chaos(const CliOptions &cli, EngineOptions &options)
     }
 }
 
-/** Prints the process-wide per-kernel health ledger (guard runs). */
+/** Prints the per-kernel guard counters summed over @p engines. */
 void
-print_kernel_health()
+print_kernel_health(const std::vector<const Engine *> &engines)
 {
-    const auto snapshot = KernelRegistry::instance().health().snapshot();
-    if (snapshot.empty())
+    const auto table = kernel_health(engines);
+    if (table.empty())
         return;
-    std::printf("\nkernel health ledger:\n");
-    std::printf("  %-28s %6s %6s %6s %6s %8s %8s\n", "kernel", "trips",
-                "faults", "opens", "recov", "shadows", "diverged");
-    for (const auto &[id, record] : snapshot)
-        std::printf("  %-28s %6lld %6lld %6lld %6lld %8lld %8lld\n",
-                    id.c_str(),
-                    static_cast<long long>(record.guard_trips),
-                    static_cast<long long>(record.faults),
-                    static_cast<long long>(record.breaker_opens),
-                    static_cast<long long>(record.recoveries),
-                    static_cast<long long>(record.shadow_runs),
-                    static_cast<long long>(record.shadow_divergences));
+    std::printf("\nkernel health:\n");
+    std::printf("  %-28s %6s %6s %6s %6s %8s\n", "kernel", "trips",
+                "faults", "opens", "recov", "shadows");
+    for (const auto &[id, row] : table)
+        std::printf("  %-28s %6lld %6lld %6lld %6lld %8lld\n", id.c_str(),
+                    static_cast<long long>(row.trips),
+                    static_cast<long long>(row.faults),
+                    static_cast<long long>(row.opens),
+                    static_cast<long long>(row.recoveries),
+                    static_cast<long long>(row.shadow_runs));
 }
 
 int
@@ -526,7 +520,7 @@ cmd_run(const CliOptions &cli)
                     cli.threads, result.stats.to_string().c_str());
     } catch (const DataCorruptionError &error) {
         std::printf("guard stopped the run: %s\n", error.what());
-        print_kernel_health();
+        print_kernel_health({&engine});
         return 1;
     }
 
@@ -536,7 +530,7 @@ cmd_run(const CliOptions &cli)
                     layer_timings_to_string(timings, 25).c_str());
     }
     if (cli.guard)
-        print_kernel_health();
+        print_kernel_health({&engine});
     return 0;
 }
 
@@ -629,7 +623,6 @@ cmd_serve(const CliOptions &cli)
     service_options.warm_spares = std::max(0, cli.warm_spares);
     service_options.max_retries = std::max(0, cli.max_retries);
     service_options.retry_budget = cli.retry_budget;
-    service_options.enable_brownout = cli.brownout;
     service_options.rt_queue_depth =
         static_cast<std::size_t>(std::max(0, cli.rt_queue_depth));
     service_options.class_deadline_ms = cli.class_deadline_ms;
@@ -668,13 +661,12 @@ cmd_serve(const CliOptions &cli)
                 service_options.workers, deadline_text);
     const ConstantPackCache &packs = service.pool().pack_cache();
     std::printf("pool: %zu replicas (+%d warm spares), max %d retries "
-                "(budget %.2f/request), brownout %s; shared packs: "
+                "(budget %.2f/request); shared packs: "
                 "%zu entries, %.1f KiB, %lld hits\n",
                 service.pool().replica_count() -
                     static_cast<std::size_t>(service_options.warm_spares),
                 service_options.warm_spares, service_options.max_retries,
                 service_options.retry_budget,
-                service_options.enable_brownout ? "on" : "off",
                 packs.entries(),
                 static_cast<double>(packs.bytes()) / 1024.0,
                 static_cast<long long>(packs.hits()));
@@ -874,12 +866,6 @@ cmd_serve(const CliOptions &cli)
                 static_cast<long long>(stats.quarantines),
                 static_cast<long long>(stats.probes),
                 static_cast<long long>(stats.readmissions));
-    if (service_options.enable_brownout)
-        std::printf("brownout: entered %lld, exited %lld, shed %lld "
-                    "batch requests\n",
-                    static_cast<long long>(stats.brownout_entered),
-                    static_cast<long long>(stats.brownout_exited),
-                    static_cast<long long>(stats.brownout_shed));
     std::printf("lifecycle: generation %llu active (%s), %lld swaps, "
                 "%lld rollbacks, %lld canary-routed\n",
                 static_cast<unsigned long long>(stats.active_generation),
@@ -929,7 +915,10 @@ cmd_serve(const CliOptions &cli)
         std::printf("guard: %lld requests stopped on confirmed "
                     "corruption (never served wrong data)\n",
                     static_cast<long long>(stats.data_corruption));
-        print_kernel_health();
+        std::vector<const Engine *> replicas;
+        for (std::size_t i = 0; i < service.pool().replica_count(); ++i)
+            replicas.push_back(&service.pool().engine(i));
+        print_kernel_health(replicas);
     }
     service.stop();
     return 0;
