@@ -32,7 +32,6 @@ layerwise_cell(::benchmark::State &state, const FrameworkPersonality &p,
 {
     set_global_num_threads(1);
     EngineOptions options = p.options;
-    options.enable_profiling = true;
     options.prepare_kernels = prepared;
     const float width = quick_mode() ? 0.25f : 1.0f;
     Engine engine(models::mobilenet_v1(1000, width), options);

@@ -133,8 +133,9 @@ int orpheus_engine_step_count(const orpheus_engine *engine);
 /**
  * Writes a CSV per-layer profile of the runs so far into @p buffer
  * (NUL-terminated, truncated to @p size). Returns the full length
- * (excluding NUL) like snprintf. Requires the engine to have been
- * created with profiling (zoo/file engines always are).
+ * (excluding NUL) like snprintf. Columns:
+ * node,op,impl,output_shape,calls,total_ms,mean_ms — one row per plan
+ * step, in plan order; every engine accumulates these on every run.
  */
 int orpheus_engine_profile_csv(const orpheus_engine *engine, char *buffer,
                                size_t size);

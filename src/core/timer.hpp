@@ -1,7 +1,7 @@
 /**
  * @file
- * Wall-clock timing utilities used by the profiler and the experiment
- * harness. Header-only.
+ * Wall-clock timing utilities used by kernel auto-tuning, the
+ * experiment harness and the benchmarks. Header-only.
  */
 #pragma once
 

@@ -9,11 +9,33 @@
 namespace orpheus {
 
 std::vector<LayerTiming>
+layer_timings(const Engine &engine)
+{
+    double total = 0.0;
+    for (const PlanStep &step : engine.steps())
+        total += step.total_ms;
+    std::vector<LayerTiming> timings;
+    timings.reserve(engine.steps().size());
+    for (const PlanStep &step : engine.steps()) {
+        LayerTiming timing;
+        timing.node_name = step.node_name;
+        timing.op_type = step.op_type;
+        timing.impl_name = step.active_impl();
+        timing.output_shape = step.output_shape;
+        timing.calls = step.calls;
+        timing.total_ms = step.total_ms;
+        timing.mean_ms = step.calls > 0
+                             ? step.total_ms / static_cast<double>(step.calls)
+                             : 0.0;
+        timing.share = total > 0.0 ? step.total_ms / total : 0.0;
+        timings.push_back(std::move(timing));
+    }
+    return timings;
+}
+
+std::vector<LayerTiming>
 profile_layers(Engine &engine, int repetitions, std::uint64_t input_seed)
 {
-    ORPHEUS_CHECK(engine.options().enable_profiling,
-                  "profile_layers requires an engine compiled with "
-                  "enable_profiling = true");
     ORPHEUS_CHECK(engine.graph().inputs().size() == 1,
                   "profile_layers expects a single-input graph");
 
@@ -21,25 +43,12 @@ profile_layers(Engine &engine, int repetitions, std::uint64_t input_seed)
     Tensor input =
         random_tensor(engine.graph().inputs().front().shape, rng);
 
-    engine.profiler().reset();
-    (void)engine.run(input); // Warm-up (counted separately then dropped).
-    engine.profiler().reset();
+    (void)engine.run(input); // Warm-up, dropped by the reset below.
+    engine.reset_timings();
     for (int i = 0; i < repetitions; ++i)
         (void)engine.run(input);
 
-    const double total = engine.profiler().total_ms();
-    std::vector<LayerTiming> timings;
-    timings.reserve(engine.profiler().steps().size());
-    for (const LayerProfile &step : engine.profiler().steps()) {
-        LayerTiming timing;
-        timing.node_name = step.node_name;
-        timing.op_type = step.op_type;
-        timing.impl_name = step.impl_name;
-        timing.output_shape = step.output_shape;
-        timing.mean_ms = step.mean_ms();
-        timing.share = total > 0.0 ? step.total_ms / total : 0.0;
-        timings.push_back(std::move(timing));
-    }
+    std::vector<LayerTiming> timings = layer_timings(engine);
     std::stable_sort(timings.begin(), timings.end(),
                      [](const LayerTiming &a, const LayerTiming &b) {
                          return a.share > b.share;
@@ -73,11 +82,12 @@ std::string
 layer_timings_to_csv(const std::vector<LayerTiming> &timings)
 {
     std::ostringstream out;
-    out << "node,op,impl,output_shape,mean_ms,share\n";
+    out << "node,op,impl,output_shape,calls,total_ms,mean_ms\n";
     for (const LayerTiming &timing : timings) {
         out << timing.node_name << ',' << timing.op_type << ','
             << timing.impl_name << ",\"" << timing.output_shape << "\","
-            << timing.mean_ms << ',' << timing.share << "\n";
+            << timing.calls << ',' << timing.total_ms << ','
+            << timing.mean_ms << "\n";
     }
     return out.str();
 }

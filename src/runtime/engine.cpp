@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "core/logging.hpp"
-#include "core/timer.hpp"
 
 namespace orpheus {
 
@@ -162,14 +161,11 @@ Engine::compile()
             step.output_names.push_back(out);
         }
         step.output_shape = init.output_infos.front().shape;
-        step.selected_impl = selection.kernel->impl_name;
-        const KernelDef *fallback =
-            select_fallback_kernel(registry, init, step.selected_impl);
+        const KernelDef *fallback = select_fallback_kernel(
+            registry, init, selection.kernel->impl_name);
         step.reference_impl =
             fallback != nullptr ? fallback->impl_name : std::string();
 
-        profiler_.add_step(step.node_name, step.op_type,
-                           step.layer->impl_name(), step.output_shape);
         ORPHEUS_DEBUG("plan step " << steps_.size() << ": "
                                    << step.node_name << " -> "
                                    << step.layer->impl_name());
@@ -177,8 +173,6 @@ Engine::compile()
         steps_.push_back(std::move(step));
     }
 
-    // Layers prepared early may hold a view of a workspace that a later
-    // layer outgrew; hand everyone the final segment.
     bind_workspace_all();
 }
 
@@ -349,19 +343,15 @@ Engine::prepare_layer(Layer &layer)
         request_footprint_bytes_ +=
             required - memory_plan_.workspace_bytes;
         memory_plan_.workspace_bytes = required;
-        workspace_ = Buffer::allocate(required);
-        // The old segment is gone; refresh every live layer's view.
-        bind_workspace_all();
     }
-    layer.bind_workspace(
-        workspace_ != nullptr
-            ? Workspace(workspace_->data(), memory_plan_.workspace_bytes)
-            : Workspace());
 }
 
 void
 Engine::bind_workspace_all()
 {
+    if (memory_plan_.workspace_bytes >
+        (workspace_ != nullptr ? workspace_->size() : 0))
+        workspace_ = Buffer::allocate(memory_plan_.workspace_bytes);
     const Workspace view =
         workspace_ != nullptr
             ? Workspace(workspace_->data(), memory_plan_.workspace_bytes)
@@ -413,7 +403,8 @@ Engine::validate_inputs(const std::map<std::string, Tensor> &inputs) const
 }
 
 void
-Engine::execute_step(std::size_t index, const DeadlineToken &deadline)
+Engine::execute_step(std::size_t index, const DeadlineToken &deadline,
+                     std::chrono::steady_clock::time_point started)
 {
     PlanStep &step = steps_[index];
     if (deadline.expired())
@@ -430,11 +421,11 @@ Engine::execute_step(std::size_t index, const DeadlineToken &deadline)
     if (health.state == BreakerState::kOpen && policy.enabled &&
         policy.allow_recovery) {
         const std::chrono::duration<double, std::milli> open_for =
-            std::chrono::steady_clock::now() - health.opened_at;
+            started - health.opened_at;
         if (open_for.count() >= policy.cooldown_ms) {
             health.state = BreakerState::kHalfOpen;
             ORPHEUS_WARN("guard: half-open probe of "
-                         << step.op_type << "." << step.selected_impl
+                         << step.op_type << "." << step.layer->impl_name()
                          << " on node " << step.node_name << " after "
                          << open_for.count() << " ms cool-down");
         }
@@ -448,7 +439,7 @@ Engine::execute_step(std::size_t index, const DeadlineToken &deadline)
 
     ExecutionMonitor *monitor = options_.execution_monitor.get();
     if (monitor != nullptr)
-        monitor->begin_step(index, step.node_name, active.impl_name());
+        monitor->begin_step(index, started);
     struct EndStep {
         ExecutionMonitor *monitor;
         ~EndStep()
@@ -536,7 +527,8 @@ Engine::execute_step(std::size_t index, const DeadlineToken &deadline)
         if (policy.fail_on_corruption)
             throw DataCorruptionError("node " + step.node_name + " (" +
                                       step.op_type + "." +
-                                      step.selected_impl + "): " + reason);
+                                      step.layer->impl_name() +
+                                      "): " + reason);
         // Availability mode: the outputs already hold the reference
         // result (confirm/shadow corrected them); keep running.
         return;
@@ -547,7 +539,7 @@ Engine::execute_step(std::size_t index, const DeadlineToken &deadline)
         // Probe passed a full verification: re-promote the fast kernel.
         restore_step(index);
         ORPHEUS_WARN("guard: probe of " << step.op_type << "."
-                                        << step.selected_impl
+                                        << step.layer->impl_name()
                                         << " on node " << step.node_name
                                         << " clean; breaker closed");
     }
@@ -569,6 +561,7 @@ Engine::reference_layer(PlanStep &step)
                                           << " is no longer registered");
         step.reference_layer = registry.instantiate(*def, step.init);
         prepare_layer(*step.reference_layer);
+        bind_workspace_all();
     }
     return *step.reference_layer;
 }
@@ -654,7 +647,7 @@ Engine::record_trip(std::size_t index, GuardTrip kind,
         ++health.trips_total;
     ORPHEUS_WARN("guard: " << to_string(kind) << " on node "
                            << step.node_name << " (" << step.op_type << "."
-                           << step.selected_impl << "): " << reason);
+                           << step.layer->impl_name() << "): " << reason);
 
     if (health.state == BreakerState::kHalfOpen) {
         // The probe failed; back to open, cool-down restarts.
@@ -683,10 +676,8 @@ Engine::open_breaker(std::size_t index, const std::string &reason)
     ++health.opens_total;
     health.consecutive_trips = 0;
     health.last_trip_reason = reason;
-    step.degraded = true;
-    profiler_.set_impl_name(index, step.reference_impl);
     ORPHEUS_WARN("guard: breaker OPEN for "
-                 << step.op_type << "." << step.selected_impl
+                 << step.op_type << "." << step.layer->impl_name()
                  << " on node " << step.node_name << " (" << reason
                  << "); routing to " << step.op_type << "."
                  << step.reference_impl);
@@ -707,16 +698,26 @@ Engine::execute_plan(const DeadlineToken &deadline)
         }
     } end_request{monitor};
 
-    if (options_.enable_profiling) {
-        Timer timer;
-        for (std::size_t i = 0; i < steps_.size(); ++i) {
-            timer.start();
-            execute_step(i, deadline);
-            profiler_.record(i, timer.elapsed_ms());
-        }
-    } else {
-        for (std::size_t i = 0; i < steps_.size(); ++i)
-            execute_step(i, deadline);
+    // One clock read per step boundary ends one step's timing and starts
+    // the next one's (and the monitor's view of it).
+    auto boundary = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < steps_.size(); ++i) {
+        execute_step(i, deadline, boundary);
+        const auto now = std::chrono::steady_clock::now();
+        PlanStep &step = steps_[i];
+        ++step.calls;
+        step.total_ms +=
+            std::chrono::duration<double, std::milli>(now - boundary).count();
+        boundary = now;
+    }
+}
+
+void
+Engine::reset_timings()
+{
+    for (PlanStep &step : steps_) {
+        step.calls = 0;
+        step.total_ms = 0.0;
     }
 }
 
@@ -869,7 +870,7 @@ Engine::run_step(std::size_t index)
     ORPHEUS_CHECK(index < steps_.size(),
                   "plan step " << index << " out of range (plan has "
                                << steps_.size() << " steps)");
-    execute_step(index, DeadlineToken());
+    execute_step(index, DeadlineToken(), std::chrono::steady_clock::now());
 }
 
 void
@@ -882,7 +883,7 @@ Engine::demote_step(std::size_t index, const std::string &reason)
     // so restore_step (or a guarded half-open probe) can re-promote it.
     ORPHEUS_CHECK(!steps_[index].reference_impl.empty(),
                   "kernel " << steps_[index].op_type << "."
-                            << steps_[index].selected_impl
+                            << steps_[index].layer->impl_name()
                             << " demoted on node " << steps_[index].node_name
                             << " (" << reason
                             << ") but no fallback implementation is "
@@ -903,8 +904,6 @@ Engine::restore_step(std::size_t index)
         ++step.health.recoveries_total;
     step.health.state = BreakerState::kClosed;
     step.health.consecutive_trips = 0;
-    step.degraded = false;
-    profiler_.set_impl_name(index, step.selected_impl);
 }
 
 std::string
@@ -917,7 +916,7 @@ Engine::plan_summary() const
         const PlanStep &step = steps_[i];
         out << "  #" << i << " " << step.node_name << " [" << step.op_type
             << " / " << step.active_impl()
-            << (step.degraded ? " (degraded)" : "");
+            << (step.degraded() ? " (degraded)" : "");
         if (step.health.state != BreakerState::kClosed)
             out << " (breaker " << to_string(step.health.state) << ")";
         out << "] -> " << step.output_shape << "\n";
@@ -937,7 +936,7 @@ kernel_health(const std::vector<const Engine *> &engines)
                 health.shadow_runs == 0)
                 continue;
             KernelHealth &row =
-                table[step.op_type + "." + step.selected_impl];
+                table[step.op_type + "." + step.layer->impl_name()];
             row.trips += health.trips_total;
             row.faults += health.faults_total;
             row.opens += health.opens_total;

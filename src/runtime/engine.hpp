@@ -11,10 +11,12 @@
  *      auto-tuned) and instantiate its Layer.
  *
  * run() then walks the plan copying nothing but the user's inputs and
- * the requested outputs.
+ * the requested outputs, and accumulates every step's wall-clock time in
+ * its PlanStep (always on: one clock read per step boundary).
  */
 #pragma once
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -29,7 +31,6 @@
 #include "runtime/fault_injector.hpp"
 #include "runtime/guard.hpp"
 #include "runtime/memory_planner.hpp"
-#include "runtime/profiler.hpp"
 #include "runtime/selection.hpp"
 #include "runtime/watchdog.hpp"
 
@@ -43,9 +44,6 @@ struct EngineOptions {
 
     SelectionStrategy selection = SelectionStrategy::kHeuristic;
     int autotune_runs = 3;
-
-    /** Accumulate per-layer timings on every run(). */
-    bool enable_profiling = false;
 
     /**
      * Place intermediates in the planned arena. Disabling gives every
@@ -82,10 +80,11 @@ struct EngineOptions {
     std::shared_ptr<FaultInjector> fault_injector;
 
     /**
-     * Optional execution trace sink: when set, run() publishes
-     * request/step begin+end events so an external Watchdog can detect
-     * hung steps and cancel the in-flight request. Null disables
-     * publishing (no per-step overhead).
+     * Optional execution trace sink: when set, run() publishes the
+     * in-flight request and the index and start time of the running
+     * step, so an external Watchdog can detect hung steps and cancel
+     * the request. The start time is the step's timing clock read.
+     * Null disables publishing.
      */
     std::shared_ptr<ExecutionMonitor> execution_monitor;
 
@@ -115,7 +114,8 @@ struct EngineOptions {
     int max_batch = 1;
 };
 
-/** One executable step of the compiled plan. */
+/** One executable step of the compiled plan: what it is, which kernel
+ *  runs it, its breaker health and its accumulated timing. */
 struct PlanStep {
     std::string node_name;
     std::string op_type;
@@ -128,13 +128,15 @@ struct PlanStep {
     /** Plan-time init, retained so the reference implementation can be
      *  instantiated without recompiling. */
     LayerInit init;
-    /** True while the step's circuit breaker is not closed (open, or a
-     *  half-open probe pending). */
-    bool degraded = false;
+
+    // --- Timing (every run() / run_batch(); not run_step()) ---------------
+    /** Plan executions that completed this step since the last
+     *  Engine::reset_timings(). A fused run_batch() counts once. */
+    std::int64_t calls = 0;
+    /** Wall-clock milliseconds accumulated over those calls. */
+    double total_ms = 0.0;
 
     // --- Guarded execution ------------------------------------------------
-    /** Impl selected at plan time — what restore_step() re-promotes. */
-    std::string selected_impl;
     /** Reference fallback impl ("" when no alternative exists). */
     std::string reference_impl;
     /** Lazily instantiated reference layer, cached for shadow runs,
@@ -146,13 +148,18 @@ struct PlanStep {
     std::uint64_t invocations = 0;
 
     /** The impl that runs next: the reference while the breaker is
-     *  open, the plan-time layer otherwise. */
+     *  open, the plan-time layer (what restore_step() re-promotes)
+     *  otherwise. */
     const std::string &
     active_impl() const
     {
         return health.state == BreakerState::kOpen ? reference_impl
                                                    : layer->impl_name();
     }
+
+    /** True while the step's circuit breaker is not closed (open, or a
+     *  half-open probe pending). */
+    bool degraded() const { return health.state != BreakerState::kClosed; }
 };
 
 class Engine
@@ -247,10 +254,9 @@ class Engine
 
     /**
      * Reverses demote_step / a tripped breaker: re-promotes the kernel
-     * selected at plan time, closes the breaker and clears the
-     * degraded flag. The half-open probe path calls this after a clean
-     * verification; it is also the manual operator override. Same
-     * thread-safety contract as demote_step.
+     * selected at plan time and closes the breaker. The half-open probe
+     * path calls this after a clean verification; it is also the manual
+     * operator override. Same thread-safety contract as demote_step.
      */
     void restore_step(std::size_t index);
 
@@ -299,8 +305,9 @@ class Engine
         return request_outputs_;
     }
 
-    Profiler &profiler() { return profiler_; }
-    const Profiler &profiler() const { return profiler_; }
+    /** Zeroes every step's accumulated timing (PlanStep::calls and
+     *  total_ms). */
+    void reset_timings();
 
     /** Arena bytes used for intermediates (0 when the planner is off). */
     std::size_t arena_bytes() const { return memory_plan_.arena_size; }
@@ -375,27 +382,33 @@ class Engine
      *  batch_capacity_, so any n ≤ capacity fits in place). */
     void set_active_batch(std::int64_t n);
 
-    /** The monitor-wrapped step loop shared by run() and run_batch()
-     *  (inputs already staged in values_). */
+    /** The monitor-wrapped, timed step loop shared by run() and
+     *  run_batch() (inputs already staged in values_). */
     void execute_plan(const DeadlineToken &deadline);
 
     /**
-     * Runs @p layer's preparation stage (when prepare_kernels is on),
-     * growing the shared workspace segment and rebinding every live
-     * layer if the new requirement exceeds the current capacity. Called
-     * at plan time for every step, and again whenever a layer is
-     * (re-)instantiated on the fallback/restore/reference paths.
+     * Runs @p layer's preparation stage (when prepare_kernels is on) and
+     * raises the planned workspace size to its reservation. Called at
+     * plan time for every step and when a reference layer is
+     * instantiated; bind_workspace_all() then allocates.
      */
     void prepare_layer(Layer &layer);
 
-    /** Hands the current workspace view to every instantiated layer
-     *  (plan layers, fallback replacements, cached reference layers). */
+    /**
+     * Allocates the shared workspace segment when the planned size
+     * exceeds the current one, and hands the view to every instantiated
+     * layer (plan layers and cached reference layers). Compile calls it
+     * once after preparing every step, so the segment is allocated once
+     * at its final size instead of regrown layer by layer.
+     */
     void bind_workspace_all();
 
-    /** Executes step @p index with deadline checks, fault/delay
-     *  injection, the circuit breaker and (guard mode) output scanning
-     *  and shadow sampling (see guard.hpp). */
-    void execute_step(std::size_t index, const DeadlineToken &deadline);
+    /** Executes step @p index, which began at @p started, with
+     *  deadline checks, fault/delay injection, the circuit breaker and
+     *  (guard mode) output scanning and shadow sampling (see
+     *  guard.hpp). */
+    void execute_step(std::size_t index, const DeadlineToken &deadline,
+                      std::chrono::steady_clock::time_point started);
 
     // --- Guard internals --------------------------------------------------
 
@@ -471,7 +484,6 @@ class Engine
     /** Storage for every non-initializer value, keyed by name. */
     std::map<std::string, Tensor> values_;
     std::vector<PlanStep> steps_;
-    Profiler profiler_;
     std::map<std::string, std::vector<std::pair<std::string, double>>>
         autotune_log_;
 };

@@ -432,7 +432,7 @@ EnginePool::revive(std::size_t id, std::string *failure)
     Engine &engine = *replicas_[id].engine;
     try {
         for (std::size_t step = 0; step < engine.steps().size(); ++step)
-            if (engine.steps()[step].degraded)
+            if (engine.steps()[step].degraded())
                 engine.restore_step(step);
     } catch (const std::exception &error) {
         *failure = error.what();
@@ -462,7 +462,7 @@ EnginePool::apply_pending_demotions_locked(std::size_t id)
     for (const PendingDemotion &demotion : todo) {
         Engine &engine = *replica.engine;
         if (demotion.step_index >= engine.steps().size() ||
-            engine.steps()[demotion.step_index].degraded)
+            engine.steps()[demotion.step_index].degraded())
             continue;
         try {
             engine.demote_step(demotion.step_index, demotion.reason);

@@ -22,7 +22,9 @@
  * miscompiled or bit-rotted backend produces, with no exception for
  * the fallback path and no hang for the watchdog. This is what makes
  * the output guard, shadow execution and circuit breaker (guard.hpp)
- * testable without a real miscompile.
+ * testable without a real miscompile. A fourth scopes corruption to a
+ * model instead of a (node, impl) pattern. All four share one matcher
+ * type (pattern, first ordinal, cap, counters).
  *
  * Thread-safe: one injector may be shared by engines running on
  * different threads (counters are guarded by a mutex).
@@ -60,10 +62,10 @@ void apply_corruption(CorruptionKind kind, Tensor &output);
 /**
  * The injector's complete verdict for one kernel invocation, computed
  * atomically under a single lock acquisition. Engines in a replica pool
- * consult a shared injector concurrently; evaluating the three matchers
- * as separate locked calls would let a concurrent re-arm (chaos
- * harnesses re-arm between phases) interleave between them and hand a
- * step half of the old schedule and half of the new one.
+ * consult a shared injector concurrently; evaluating the matchers as
+ * separate locked calls would let a concurrent re-arm (chaos harnesses
+ * re-arm between phases) interleave between them and hand a step half
+ * of the old schedule and half of the new one.
  */
 struct InjectionDecision {
     /** The invocation must throw KernelFault before running. */
@@ -129,40 +131,18 @@ class FaultInjector
 
     /**
      * Evaluates all matchers for one kernel invocation under one lock
-     * acquisition and advances their counters together. This is what
-     * engines call: it keeps the per-invocation schedule coherent when
-     * multiple pool replicas share one injector and a chaos harness
-     * re-arms it concurrently. @p model_name is the executing engine's
-     * graph name (consulted by the model-corruption matcher; engines
-     * compiled before model matching existed pass "").
+     * acquisition and advances their counters together. This is the
+     * engine's only entry point: it keeps the per-invocation schedule
+     * coherent when multiple pool replicas share one injector and a
+     * chaos harness re-arms it concurrently. @p model_name is the
+     * executing engine's graph name (consulted by the model-corruption
+     * matcher only; "" never matches it). Node/impl corruption wins
+     * over model corruption, and the model matcher counts an
+     * invocation only when node/impl corruption did not fire.
      */
     InjectionDecision decide(const std::string &node_name,
                              const std::string &impl_name,
                              const std::string &model_name = std::string());
-
-    /**
-     * Called by the engine before each kernel invocation; returns true
-     * if this invocation must fail. Advances the match counter.
-     */
-    bool should_fail(const std::string &node_name,
-                     const std::string &impl_name);
-
-    /**
-     * Called by the engine before each kernel invocation; returns the
-     * milliseconds this invocation must stall (0 when none). Advances
-     * the delay match counter.
-     */
-    double delay_ms(const std::string &node_name,
-                    const std::string &impl_name);
-
-    /**
-     * Called by the engine after each *primary* kernel invocation
-     * (never on guard confirmation, shadow or fallback re-runs);
-     * returns the corruption to apply to the step's output (kNone when
-     * none). Advances the corruption match counter.
-     */
-    CorruptionKind corruption(const std::string &node_name,
-                              const std::string &impl_name);
 
     /** Total faults injected since the last arm()/reset(). */
     std::int64_t faults_injected() const;
@@ -185,54 +165,36 @@ class FaultInjector
      *  arm_corruption(). */
     std::int64_t corruption_calls_seen() const;
 
-    /** Total corruptions injected by the model matcher since the last
-     *  arm_model_corruption()/reset(). */
-    std::int64_t model_corruptions_injected() const;
-
   private:
-    // Matcher evaluation with mutex_ already held.
-    bool should_fail_locked(const std::string &node_name,
-                            const std::string &impl_name);
-    double delay_ms_locked(const std::string &node_name,
-                           const std::string &impl_name);
-    CorruptionKind corruption_locked(const std::string &node_name,
-                                     const std::string &impl_name);
-    CorruptionKind model_corruption_locked(const std::string &model_name);
+    /**
+     * One armed pattern: an invocation matches when each non-empty name
+     * equals the invocation's. Matching invocations are counted from 0;
+     * those with ordinal >= from_call fire until max_hits is reached
+     * (< 0: no cap). A default-constructed matcher is disarmed.
+     */
+    struct Matcher {
+        bool armed = false;
+        std::string node_name;
+        std::string impl_name;
+        std::int64_t from_call = 0;
+        std::int64_t max_hits = -1;
+        std::int64_t calls_seen = 0;
+        std::int64_t hits = 0;
+
+        /** Counts a matching invocation; true when it fires. */
+        bool fire(const std::string &node, const std::string &impl);
+    };
 
     mutable std::mutex mutex_;
-    bool armed_ = false;
-    std::string node_name_;
-    std::string impl_name_;
-    std::int64_t fail_from_call_ = 0;
-    std::int64_t max_faults_ = -1;
-    std::int64_t calls_seen_ = 0;
-    std::int64_t faults_injected_ = 0;
-
-    bool delay_armed_ = false;
-    std::string delay_node_name_;
-    std::string delay_impl_name_;
+    Matcher fault_;
+    Matcher delay_;
+    Matcher corruption_;
+    /** node_name holds the model name; impl_name is unused. */
+    Matcher model_corruption_;
+    /** What a firing matcher injects (stale but inert once disarmed). */
     double delay_ms_ = 0;
-    std::int64_t delay_from_call_ = 0;
-    std::int64_t max_delays_ = -1;
-    std::int64_t delay_calls_seen_ = 0;
-    std::int64_t delays_injected_ = 0;
-
-    bool corruption_armed_ = false;
-    std::string corruption_node_name_;
-    std::string corruption_impl_name_;
     CorruptionKind corruption_kind_ = CorruptionKind::kNone;
-    std::int64_t corrupt_from_call_ = 0;
-    std::int64_t max_corruptions_ = -1;
-    std::int64_t corruption_calls_seen_ = 0;
-    std::int64_t corruptions_injected_ = 0;
-
-    bool model_corruption_armed_ = false;
-    std::string model_corruption_name_;
     CorruptionKind model_corruption_kind_ = CorruptionKind::kNone;
-    std::int64_t model_corrupt_from_call_ = 0;
-    std::int64_t model_max_corruptions_ = -1;
-    std::int64_t model_corruption_calls_seen_ = 0;
-    std::int64_t model_corruptions_injected_ = 0;
 };
 
 } // namespace orpheus

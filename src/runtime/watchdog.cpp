@@ -23,16 +23,13 @@ ExecutionMonitor::end_request()
 
 void
 ExecutionMonitor::begin_step(std::size_t step_index,
-                             const std::string &node_name,
-                             const std::string &impl_name)
+                             std::chrono::steady_clock::time_point started)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     step_active_ = true;
     ++sequence_;
     step_index_ = step_index;
-    node_name_ = node_name;
-    impl_name_ = impl_name;
-    step_started_ = std::chrono::steady_clock::now();
+    step_started_ = started;
 }
 
 void
@@ -50,8 +47,6 @@ ExecutionMonitor::snapshot() const
     snap.step_active = step_active_;
     snap.sequence = sequence_;
     snap.step_index = step_index_;
-    snap.node_name = node_name_;
-    snap.impl_name = impl_name_;
     if (step_active_) {
         const std::chrono::duration<double, std::milli> elapsed =
             std::chrono::steady_clock::now() - step_started_;
@@ -93,13 +88,6 @@ Watchdog::stop()
         thread_.join();
 }
 
-std::int64_t
-Watchdog::hangs_detected() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hangs_detected_;
-}
-
 void
 Watchdog::poll_loop()
 {
@@ -121,18 +109,14 @@ Watchdog::poll_loop()
                 flagged_[i] == snap.sequence)
                 continue;
             flagged_[i] = snap.sequence;
-            ++hangs_detected_;
             HangReport report;
             report.monitor_index = i;
             report.step_index = snap.step_index;
-            report.node_name = snap.node_name;
-            report.impl_name = snap.impl_name;
             report.elapsed_ms = snap.elapsed_ms;
-            ORPHEUS_WARN("watchdog: step " << report.step_index << " (node "
-                                           << report.node_name << ", impl "
-                                           << report.impl_name
-                                           << ") has been running for "
-                                           << report.elapsed_ms << " ms");
+            ORPHEUS_WARN("watchdog: replica " << i << " step "
+                                              << report.step_index
+                                              << " has been running for "
+                                              << report.elapsed_ms << " ms");
             if (on_hang_) {
                 lock.unlock();
                 on_hang_(report);

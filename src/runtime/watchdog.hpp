@@ -6,9 +6,10 @@
  * reaches a cancellation point; a genuinely wedged backend — stuck in a
  * syscall, spinning in native code — never does. The watchdog covers
  * that gap from the outside: the engine publishes "step N of request R
- * started at time T on node X / impl Y" into an ExecutionMonitor, and a
- * dedicated watchdog thread polls the monitors, flagging any step that
- * has been running longer than the hang threshold. The InferenceService
+ * started at time T" into an ExecutionMonitor, and a dedicated watchdog
+ * thread polls the monitors, flagging any step that has been running
+ * longer than the hang threshold. Names are resolved from the engine's
+ * plan (PlanStep) by whoever acts on the report. The InferenceService
  * reacts by cancelling the request's token (un-wedging cooperative
  * kernels) and demoting the offending step to the reference
  * implementation for subsequent requests — the same degradation path a
@@ -22,7 +23,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,8 +33,8 @@ namespace orpheus {
 /**
  * One engine's execution trace, written by the executing thread at step
  * granularity and read by the watchdog thread. All methods are
- * thread-safe; begin/end pairs cost one mutex acquisition each, which
- * is negligible next to a kernel invocation.
+ * thread-safe; begin/end pairs cost one mutex acquisition each and copy
+ * no strings, which is negligible next to a kernel invocation.
  */
 class ExecutionMonitor
 {
@@ -46,8 +46,6 @@ class ExecutionMonitor
          *  the watchdog flag each occurrence at most once. */
         std::uint64_t sequence = 0;
         std::size_t step_index = 0;
-        std::string node_name;
-        std::string impl_name;
         /** Milliseconds the active step has been running. */
         double elapsed_ms = 0;
     };
@@ -57,8 +55,10 @@ class ExecutionMonitor
     void begin_request(DeadlineToken token);
     void end_request();
 
-    void begin_step(std::size_t step_index, const std::string &node_name,
-                    const std::string &impl_name);
+    /** Marks plan step @p step_index running since @p started (the
+     *  engine's step-timing clock read). */
+    void begin_step(std::size_t step_index,
+                    std::chrono::steady_clock::time_point started);
     void end_step();
 
     Snapshot snapshot() const;
@@ -72,8 +72,6 @@ class ExecutionMonitor
     bool step_active_ = false;
     std::uint64_t sequence_ = 0;
     std::size_t step_index_ = 0;
-    std::string node_name_;
-    std::string impl_name_;
     std::chrono::steady_clock::time_point step_started_{};
 };
 
@@ -86,11 +84,11 @@ struct WatchdogConfig {
 
 /** What the watchdog saw when it flagged a hang. */
 struct HangReport {
-    /** Index into the monitor list handed to the Watchdog. */
+    /** Index into the monitor list handed to the Watchdog (the service's
+     *  replica id). */
     std::size_t monitor_index = 0;
+    /** Plan step of that replica's engine that hung. */
     std::size_t step_index = 0;
-    std::string node_name;
-    std::string impl_name;
     double elapsed_ms = 0;
 };
 
@@ -114,9 +112,6 @@ class Watchdog
     /** Stops the polling thread (idempotent; the destructor calls it). */
     void stop();
 
-    /** Hangs flagged since construction. */
-    std::int64_t hangs_detected() const;
-
   private:
     void poll_loop();
 
@@ -124,10 +119,9 @@ class Watchdog
     std::vector<std::shared_ptr<ExecutionMonitor>> monitors_;
     std::function<void(const HangReport &)> on_hang_;
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable wake_;
     bool stopping_ = false;
-    std::int64_t hangs_detected_ = 0;
     /** Last flagged sequence per monitor (0 = none). */
     std::vector<std::uint64_t> flagged_;
     std::thread thread_;

@@ -189,6 +189,46 @@ TEST(CApi, ProfileCsvAfterRuns)
     orpheus_engine_destroy(engine);
 }
 
+TEST(CApi, ProfileCsvHasOneRowPerStepCountingEveryRun)
+{
+    orpheus_engine *engine = orpheus_engine_create_zoo("tiny-mlp", nullptr);
+    ASSERT_NE(engine, nullptr);
+    std::vector<float> input(32, 0.25f);
+    std::vector<float> output(10);
+    constexpr int kRuns = 3;
+    for (int run = 0; run < kRuns; ++run)
+        ASSERT_EQ(orpheus_engine_run(engine, input.data(), input.size(),
+                                     output.data(), output.size()),
+                  ORPHEUS_OK);
+
+    const int length = orpheus_engine_profile_csv(engine, nullptr, 0);
+    ASSERT_GT(length, 0);
+    std::string csv(static_cast<std::size_t>(length) + 1, '\0');
+    ASSERT_EQ(orpheus_engine_profile_csv(engine, csv.data(), csv.size()),
+              length);
+    csv.resize(static_cast<std::size_t>(length));
+
+    std::vector<std::string> lines;
+    for (std::size_t begin = 0, end; begin < csv.size(); begin = end + 1) {
+        end = csv.find('\n', begin);
+        ASSERT_NE(end, std::string::npos) << "unterminated last line";
+        lines.push_back(csv.substr(begin, end - begin));
+    }
+    ASSERT_FALSE(lines.empty());
+    EXPECT_EQ(lines.front(),
+              "node,op,impl,output_shape,calls,total_ms,mean_ms");
+    ASSERT_EQ(static_cast<int>(lines.size()) - 1,
+              orpheus_engine_step_count(engine));
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        // The quoted output shape holds commas; calls follows it.
+        const std::size_t quote = lines[i].rfind("\",");
+        ASSERT_NE(quote, std::string::npos) << lines[i];
+        EXPECT_EQ(std::stoi(lines[i].substr(quote + 2)), kRuns) << lines[i];
+    }
+
+    orpheus_engine_destroy(engine);
+}
+
 TEST(CApi, PersonalitySelection)
 {
     orpheus_engine *engine =

@@ -105,25 +105,35 @@ TEST(Engine, SimplificationsReducePlanSize)
                  1e-3f);
 }
 
-TEST(Engine, ProfilerRecordsEveryStep)
+TEST(Engine, TimesEveryStepOnEveryRun)
 {
-    EngineOptions options;
-    options.enable_profiling = true;
-    Engine engine(models::tiny_cnn(), options);
+    Engine engine(models::tiny_cnn());
     Tensor input = make_random(Shape({1, 3, 8, 8}), 0xe14);
     (void)engine.run(input);
     (void)engine.run(input);
 
-    const Profiler &profiler = engine.profiler();
-    ASSERT_EQ(profiler.steps().size(), engine.steps().size());
-    for (const LayerProfile &step : profiler.steps())
-        EXPECT_EQ(step.calls, 2);
-    EXPECT_GT(profiler.total_ms(), 0.0);
-    EXPECT_NE(profiler.report().find("total:"), std::string::npos);
-    EXPECT_NE(profiler.csv().find("node,op,impl"), std::string::npos);
+    ASSERT_FALSE(engine.steps().empty());
+    for (const PlanStep &step : engine.steps()) {
+        EXPECT_EQ(step.calls, 2) << step.node_name;
+        EXPECT_GT(step.total_ms, 0.0) << step.node_name;
+    }
 
-    engine.profiler().reset();
-    EXPECT_EQ(engine.profiler().steps().front().calls, 0);
+    engine.reset_timings();
+    for (const PlanStep &step : engine.steps()) {
+        EXPECT_EQ(step.calls, 0) << step.node_name;
+        EXPECT_EQ(step.total_ms, 0.0) << step.node_name;
+    }
+
+    // A fused batch is one plan execution: one call per step.
+    EngineOptions batched;
+    batched.max_batch = 4;
+    Engine batch_engine(models::tiny_cnn(), batched);
+    ASSERT_EQ(batch_engine.batch_capacity(), 4);
+    const std::map<std::string, Tensor> request{
+        {batch_engine.request_inputs().front().name, input}};
+    (void)batch_engine.run_batch({&request, &request, &request});
+    for (const PlanStep &step : batch_engine.steps())
+        EXPECT_EQ(step.calls, 1) << step.node_name;
 }
 
 TEST(Engine, PlanSummaryListsEveryStep)

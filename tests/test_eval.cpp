@@ -138,9 +138,7 @@ TEST(Personalities, Figure2SetIsTheComparisonSet)
 
 TEST(LayerBench, SharesSumToOne)
 {
-    EngineOptions options;
-    options.enable_profiling = true;
-    Engine engine(models::tiny_cnn(), options);
+    Engine engine(models::tiny_cnn());
     const auto timings = profile_layers(engine, /*repetitions=*/2);
     ASSERT_EQ(timings.size(), engine.steps().size());
 
@@ -156,17 +154,9 @@ TEST(LayerBench, SharesSumToOne)
         EXPECT_GE(timings[i - 1].share, timings[i].share);
 }
 
-TEST(LayerBench, RequiresProfilingEngine)
-{
-    Engine engine(models::tiny_cnn());
-    EXPECT_THROW(profile_layers(engine), Error);
-}
-
 TEST(LayerBench, ReportsRenderable)
 {
-    EngineOptions options;
-    options.enable_profiling = true;
-    Engine engine(models::tiny_mlp(), options);
+    Engine engine(models::tiny_mlp());
     const auto timings = profile_layers(engine, 1);
     const std::string table = layer_timings_to_string(timings);
     EXPECT_NE(table.find("impl"), std::string::npos);

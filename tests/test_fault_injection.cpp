@@ -31,7 +31,7 @@ using testing::make_random;
 TEST(FaultInjector, UnarmedNeverFails)
 {
     FaultInjector injector;
-    EXPECT_FALSE(injector.should_fail("conv1", "im2col_gemm"));
+    EXPECT_FALSE(injector.decide("conv1", "im2col_gemm").fail);
     EXPECT_EQ(injector.calls_seen(), 0);
     EXPECT_EQ(injector.faults_injected(), 0);
 }
@@ -40,9 +40,9 @@ TEST(FaultInjector, MatchesNodeAndImplPatterns)
 {
     FaultInjector injector;
     injector.arm("conv1", "im2col_gemm");
-    EXPECT_FALSE(injector.should_fail("conv2", "im2col_gemm"));
-    EXPECT_FALSE(injector.should_fail("conv1", "direct"));
-    EXPECT_TRUE(injector.should_fail("conv1", "im2col_gemm"));
+    EXPECT_FALSE(injector.decide("conv2", "im2col_gemm").fail);
+    EXPECT_FALSE(injector.decide("conv1", "direct").fail);
+    EXPECT_TRUE(injector.decide("conv1", "im2col_gemm").fail);
     EXPECT_EQ(injector.calls_seen(), 1);
     EXPECT_EQ(injector.faults_injected(), 1);
 }
@@ -51,9 +51,9 @@ TEST(FaultInjector, FailFromCallSkipsEarlierInvocations)
 {
     FaultInjector injector;
     injector.arm("", "", /*fail_from_call=*/2);
-    EXPECT_FALSE(injector.should_fail("n", "a"));
-    EXPECT_FALSE(injector.should_fail("n", "a"));
-    EXPECT_TRUE(injector.should_fail("n", "a"));
+    EXPECT_FALSE(injector.decide("n", "a").fail);
+    EXPECT_FALSE(injector.decide("n", "a").fail);
+    EXPECT_TRUE(injector.decide("n", "a").fail);
     EXPECT_EQ(injector.calls_seen(), 3);
     EXPECT_EQ(injector.faults_injected(), 1);
 }
@@ -62,8 +62,8 @@ TEST(FaultInjector, MaxFaultsCapsInjections)
 {
     FaultInjector injector;
     injector.arm("", "", 0, /*max_faults=*/1);
-    EXPECT_TRUE(injector.should_fail("n", "a"));
-    EXPECT_FALSE(injector.should_fail("n", "a"));
+    EXPECT_TRUE(injector.decide("n", "a").fail);
+    EXPECT_FALSE(injector.decide("n", "a").fail);
     EXPECT_EQ(injector.faults_injected(), 1);
 }
 
@@ -71,9 +71,9 @@ TEST(FaultInjector, ResetDisarms)
 {
     FaultInjector injector;
     injector.arm("", "");
-    EXPECT_TRUE(injector.should_fail("n", "a"));
+    EXPECT_TRUE(injector.decide("n", "a").fail);
     injector.reset();
-    EXPECT_FALSE(injector.should_fail("n", "a"));
+    EXPECT_FALSE(injector.decide("n", "a").fail);
     EXPECT_EQ(injector.calls_seen(), 0);
     EXPECT_EQ(injector.faults_injected(), 0);
 }
@@ -83,7 +83,7 @@ TEST(FaultInjector, ResetDisarms)
 TEST(FaultInjector, DelayUnarmedReturnsZero)
 {
     FaultInjector injector;
-    EXPECT_EQ(injector.delay_ms("conv1", "im2col_gemm"), 0.0);
+    EXPECT_EQ(injector.decide("conv1", "im2col_gemm").delay_ms, 0.0);
     EXPECT_EQ(injector.delay_calls_seen(), 0);
     EXPECT_EQ(injector.delays_injected(), 0);
 }
@@ -92,13 +92,13 @@ TEST(FaultInjector, DelayMatchesPatternsIndependentlyOfFaults)
 {
     FaultInjector injector;
     injector.arm_delay("conv1", "im2col_gemm", 25.0);
-    EXPECT_EQ(injector.delay_ms("conv2", "im2col_gemm"), 0.0);
-    EXPECT_EQ(injector.delay_ms("conv1", "direct"), 0.0);
-    EXPECT_EQ(injector.delay_ms("conv1", "im2col_gemm"), 25.0);
+    EXPECT_EQ(injector.decide("conv2", "im2col_gemm").delay_ms, 0.0);
+    EXPECT_EQ(injector.decide("conv1", "direct").delay_ms, 0.0);
+    EXPECT_EQ(injector.decide("conv1", "im2col_gemm").delay_ms, 25.0);
     EXPECT_EQ(injector.delay_calls_seen(), 1);
     EXPECT_EQ(injector.delays_injected(), 1);
     // Delay arming does not fault anything.
-    EXPECT_FALSE(injector.should_fail("conv1", "im2col_gemm"));
+    EXPECT_FALSE(injector.decide("conv1", "im2col_gemm").fail);
 }
 
 TEST(FaultInjector, DelayFromCallAndCapHonoured)
@@ -106,13 +106,87 @@ TEST(FaultInjector, DelayFromCallAndCapHonoured)
     FaultInjector injector;
     injector.arm_delay("", "", 10.0, /*delay_from_call=*/1,
                        /*max_delays=*/1);
-    EXPECT_EQ(injector.delay_ms("n", "a"), 0.0);  // ordinal 0: skipped
-    EXPECT_EQ(injector.delay_ms("n", "a"), 10.0); // ordinal 1: delayed
-    EXPECT_EQ(injector.delay_ms("n", "a"), 0.0);  // cap reached
+    EXPECT_EQ(injector.decide("n", "a").delay_ms, 0.0);  // ordinal 0: skipped
+    EXPECT_EQ(injector.decide("n", "a").delay_ms, 10.0); // ordinal 1: delayed
+    EXPECT_EQ(injector.decide("n", "a").delay_ms, 0.0);  // cap reached
     EXPECT_EQ(injector.delays_injected(), 1);
     injector.reset();
-    EXPECT_EQ(injector.delay_ms("n", "a"), 0.0);
+    EXPECT_EQ(injector.decide("n", "a").delay_ms, 0.0);
     EXPECT_EQ(injector.delay_calls_seen(), 0);
+}
+
+// --- decide(): the contract shared by all four matchers -------------------
+
+TEST(FaultInjector, ResetDisarmsEveryMatcherAndZeroesCounters)
+{
+    FaultInjector injector;
+    injector.arm("", "");
+    injector.arm_delay("", "", 5.0);
+    injector.arm_corruption("n", "a", CorruptionKind::kBitFlip);
+    injector.arm_model_corruption("m", CorruptionKind::kNaNPoke);
+
+    InjectionDecision decision = injector.decide("n", "a", "m");
+    EXPECT_TRUE(decision.fail);
+    EXPECT_EQ(decision.delay_ms, 5.0);
+    EXPECT_EQ(decision.corruption, CorruptionKind::kBitFlip);
+    // Off the (node, impl) pattern the model matcher fires.
+    EXPECT_EQ(injector.decide("x", "y", "m").corruption,
+              CorruptionKind::kNaNPoke);
+
+    injector.reset();
+    EXPECT_EQ(injector.calls_seen(), 0);
+    EXPECT_EQ(injector.faults_injected(), 0);
+    EXPECT_EQ(injector.delay_calls_seen(), 0);
+    EXPECT_EQ(injector.delays_injected(), 0);
+    EXPECT_EQ(injector.corruption_calls_seen(), 0);
+    EXPECT_EQ(injector.corruptions_injected(), 0);
+    for (const char *node : {"n", "x"}) {
+        decision = injector.decide(node, node[0] == 'n' ? "a" : "y", "m");
+        EXPECT_FALSE(decision.fail) << node;
+        EXPECT_EQ(decision.delay_ms, 0.0) << node;
+        EXPECT_EQ(decision.corruption, CorruptionKind::kNone) << node;
+    }
+    EXPECT_EQ(injector.calls_seen(), 0);
+    EXPECT_EQ(injector.delay_calls_seen(), 0);
+    EXPECT_EQ(injector.corruption_calls_seen(), 0);
+}
+
+TEST(FaultInjector, NodeImplCorruptionWinsAndHoldsTheModelOrdinal)
+{
+    FaultInjector injector;
+    injector.arm_corruption("n", "a", CorruptionKind::kBitFlip);
+    injector.arm_model_corruption("m", CorruptionKind::kNaNPoke,
+                                  /*corrupt_from_call=*/1);
+
+    // Both match; node/impl wins and the model ordinal stays at 0.
+    EXPECT_EQ(injector.decide("n", "a", "m").corruption,
+              CorruptionKind::kBitFlip);
+    EXPECT_EQ(injector.decide("n", "a", "m").corruption,
+              CorruptionKind::kBitFlip);
+    // Model ordinal 0: skipped. Had it advanced above, this would fire.
+    EXPECT_EQ(injector.decide("x", "a", "m").corruption,
+              CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("x", "a", "m").corruption,
+              CorruptionKind::kNaNPoke);
+    EXPECT_EQ(injector.corruptions_injected(), 2);
+    EXPECT_EQ(injector.corruption_calls_seen(), 2);
+}
+
+TEST(FaultInjector, EmptyModelNameNeverMatches)
+{
+    FaultInjector injector;
+    injector.arm_model_corruption("", CorruptionKind::kNaNPoke);
+    EXPECT_EQ(injector.decide("n", "a", "m").corruption,
+              CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "a", "").corruption,
+              CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "a").corruption, CorruptionKind::kNone);
+
+    injector.arm_model_corruption("m", CorruptionKind::kNaNPoke);
+    EXPECT_EQ(injector.decide("n", "a", "").corruption,
+              CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "a", "m").corruption,
+              CorruptionKind::kNaNPoke);
 }
 
 /** An injected delay slows the step but the run still completes and
@@ -136,7 +210,7 @@ TEST(EngineFaultTolerance, InjectedDelayCompletesWithoutDeadline)
     EXPECT_EQ(max_abs_diff(slow, reference.run(input)), 0.0f);
     // No step degraded: a slow kernel is not a faulty kernel.
     for (const PlanStep &step : delayed.steps()) {
-        EXPECT_FALSE(step.degraded) << step.node_name;
+        EXPECT_FALSE(step.degraded()) << step.node_name;
     }
 }
 
@@ -167,7 +241,7 @@ TEST(EngineFaultTolerance, ConvFallsBackToReferenceBitwise)
     for (const PlanStep &step : injected.steps()) {
         if (step.op_type != op_names::kConv)
             continue;
-        EXPECT_TRUE(step.degraded) << step.node_name;
+        EXPECT_TRUE(step.degraded()) << step.node_name;
         EXPECT_EQ(step.active_impl(), "direct") << step.node_name;
         ++degraded_convs;
     }
@@ -230,7 +304,7 @@ TEST(EngineFaultTolerance, ThirdPartyMatMulFallsBackToReferenceBitwise)
     EXPECT_EQ(max_abs_diff(degraded, expected), 0.0f);
     EXPECT_EQ(injected_options.fault_injector->faults_injected(), 1);
     ASSERT_EQ(injected.steps().size(), 1u);
-    EXPECT_TRUE(injected.steps().front().degraded);
+    EXPECT_TRUE(injected.steps().front().degraded());
     EXPECT_EQ(injected.steps().front().active_impl(), "reference");
 }
 
@@ -285,7 +359,7 @@ TEST(EngineFaultTolerance, MidRunFaultDegradesOnlyTheFailingStep)
 
     int degraded_steps = 0;
     for (const PlanStep &step : injected.steps())
-        degraded_steps += step.degraded ? 1 : 0;
+        degraded_steps += step.degraded() ? 1 : 0;
     EXPECT_EQ(degraded_steps, 1);
 }
 
@@ -320,7 +394,7 @@ TEST(EngineFaultTolerance, GuardOffBreakerOpensOnFirstFaultAndStaysOpen)
 
     engine.restore_step(0);
     EXPECT_EQ(step.health.state, BreakerState::kClosed);
-    EXPECT_FALSE(step.degraded);
+    EXPECT_FALSE(step.degraded());
     EXPECT_EQ(step.active_impl(), "minnl");
     EngineOptions clean_options;
     clean_options.backend.forced_impl["MatMul"] = "minnl";

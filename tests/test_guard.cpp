@@ -218,14 +218,19 @@ TEST(CorruptionInjection, MatcherHonoursOrdinalAndCap)
     FaultInjector injector;
     injector.arm_corruption("n", "impl", CorruptionKind::kNaNPoke,
                             /*corrupt_from_call=*/1, /*max_corruptions=*/1);
-    EXPECT_EQ(injector.corruption("n", "other"), CorruptionKind::kNone);
-    EXPECT_EQ(injector.corruption("n", "impl"), CorruptionKind::kNone);
-    EXPECT_EQ(injector.corruption("n", "impl"), CorruptionKind::kNaNPoke);
-    EXPECT_EQ(injector.corruption("n", "impl"), CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "other").corruption,
+              CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "impl").corruption,
+              CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "impl").corruption,
+              CorruptionKind::kNaNPoke);
+    EXPECT_EQ(injector.decide("n", "impl").corruption,
+              CorruptionKind::kNone);
     EXPECT_EQ(injector.corruptions_injected(), 1);
     EXPECT_EQ(injector.corruption_calls_seen(), 3);
     injector.reset();
-    EXPECT_EQ(injector.corruption("n", "impl"), CorruptionKind::kNone);
+    EXPECT_EQ(injector.decide("n", "impl").corruption,
+              CorruptionKind::kNone);
 }
 
 // --- Engine: guarded execution end to end ---------------------------------
@@ -337,7 +342,7 @@ TEST(GuardedEngine, BreakerOpensAfterRepeatedTripsAndRoutesToReference)
         EXPECT_EQ(status.code(), StatusCode::kDataCorruption) << i;
     }
     EXPECT_EQ(engine.steps()[conv].health.state, BreakerState::kOpen);
-    EXPECT_TRUE(engine.steps()[conv].degraded);
+    EXPECT_TRUE(engine.steps()[conv].degraded());
     EXPECT_EQ(engine.steps()[conv].health.opens_total, 1);
 
     // Open breaker: the step runs on the reference kernel, the armed
@@ -394,7 +399,7 @@ TEST(GuardedEngine, HalfOpenProbeRestoresFastKernelAfterCorruptionStops)
     const Status probe = engine.try_run({{"input", input}}, outputs);
     ASSERT_TRUE(probe.is_ok()) << probe.to_string();
     EXPECT_EQ(engine.steps()[conv].health.state, BreakerState::kClosed);
-    EXPECT_FALSE(engine.steps()[conv].degraded);
+    EXPECT_FALSE(engine.steps()[conv].degraded());
     EXPECT_EQ(engine.steps()[conv].health.recoveries_total, 1);
     // The probe was shadow-verified, not waved through.
     EXPECT_GE(engine.steps()[conv].health.shadow_runs, 1);
@@ -581,7 +586,7 @@ TEST(GuardedEngine, DemoteStepOpensBreakerAndRestoreStepCloses)
 
     engine.demote_step(conv, "watchdog: step hung");
     EXPECT_EQ(engine.steps()[conv].health.state, BreakerState::kOpen);
-    EXPECT_TRUE(engine.steps()[conv].degraded);
+    EXPECT_TRUE(engine.steps()[conv].degraded());
     EXPECT_GE(engine.steps()[conv].health.faults_total, 1);
 
     // Demoted: routed to the reference kernel for that node.
@@ -596,7 +601,7 @@ TEST(GuardedEngine, DemoteStepOpensBreakerAndRestoreStepCloses)
     // Manual operator restore: back on the fast kernel.
     engine.restore_step(conv);
     EXPECT_EQ(engine.steps()[conv].health.state, BreakerState::kClosed);
-    EXPECT_FALSE(engine.steps()[conv].degraded);
+    EXPECT_FALSE(engine.steps()[conv].degraded());
     EngineOptions clean_options;
     clean_options.backend.forced_impl["Conv"] = "im2col_gemm";
     Engine clean(models::tiny_cnn(), clean_options);
@@ -621,9 +626,9 @@ TEST(GuardedEngine, RestoreStepReversesLegacyDegradation)
     for (std::size_t i = 0; i < engine.steps().size(); ++i) {
         if (engine.steps()[i].op_type != op_names::kConv)
             continue;
-        ASSERT_TRUE(engine.steps()[i].degraded);
+        ASSERT_TRUE(engine.steps()[i].degraded());
         engine.restore_step(i);
-        EXPECT_FALSE(engine.steps()[i].degraded);
+        EXPECT_FALSE(engine.steps()[i].degraded());
         EXPECT_EQ(engine.steps()[i].layer->impl_name(), "im2col_gemm");
     }
 

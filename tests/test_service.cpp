@@ -262,7 +262,7 @@ TEST(InferenceService, WatchdogCancelsHungStepAndDemotesBackend)
 
     bool saw_demoted_conv = false;
     for (const PlanStep &step : service.engine().steps()) {
-        if (step.op_type == "Conv" && step.degraded) {
+        if (step.op_type == "Conv" && step.degraded()) {
             saw_demoted_conv = true;
             EXPECT_NE(step.active_impl(), "im2col_gemm");
         }

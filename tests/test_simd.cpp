@@ -371,7 +371,7 @@ simd_probe_graph()
 
 /** impl selected per op type, in plan order. */
 std::vector<std::pair<std::string, std::string>>
-selected_impls(const Engine &engine)
+plan_impls(const Engine &engine)
 {
     std::vector<std::pair<std::string, std::string>> impls;
     for (const PlanStep &step : engine.steps())
@@ -386,7 +386,7 @@ TEST(SimdDispatch, SimdImplsSelectedWhenAvailable)
     const std::string isa = simd_isa_compiled();
     Engine engine(simd_probe_graph());
     bool saw_depthwise = false, saw_im2col = false, saw_gemm = false;
-    for (const auto &[op, impl] : selected_impls(engine)) {
+    for (const auto &[op, impl] : plan_impls(engine)) {
         if (impl == "depthwise_" + isa)
             saw_depthwise = true;
         if (impl == "im2col_gemm_" + isa)
@@ -408,7 +408,7 @@ TEST(SimdDispatch, DisableOverrideSelectsScalarImpls)
     Engine engine(simd_probe_graph());
     if (!ambient)
         ::unsetenv("ORPHEUS_DISABLE_SIMD");
-    for (const auto &[op, impl] : selected_impls(engine)) {
+    for (const auto &[op, impl] : plan_impls(engine)) {
         if (op == op_names::kConv)
             EXPECT_TRUE(impl == "depthwise_direct" ||
                         impl == "im2col_gemm")
@@ -426,7 +426,7 @@ TEST(SimdDispatch, AllowSimdConfigRemovesSimdImpls)
     options.backend.allow_simd = false;
     Engine engine(simd_probe_graph(), options);
     const std::string isa = simd_isa_compiled();
-    for (const auto &[op, impl] : selected_impls(engine)) {
+    for (const auto &[op, impl] : plan_impls(engine)) {
         EXPECT_EQ(impl.find("_" + isa), std::string::npos)
             << op << " selected " << impl;
     }
