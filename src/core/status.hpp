@@ -69,8 +69,8 @@ class DeadlineExceededError : public Error
 
 /**
  * Raised when the output guard confirms that a kernel produced wrong
- * data (non-finite values, magnitude blow-up or shadow-execution
- * divergence that the reference implementation does not reproduce).
+ * data (non-finite values or shadow-execution divergence that the
+ * reference implementation does not reproduce).
  * Distinct from KernelFault — the kernel completed, but its result
  * cannot be trusted. Non-throwing boundaries map it to
  * kDataCorruption so callers can tell "wrong" from "slow" (deadline)

@@ -163,27 +163,19 @@ scan_floats(const Tensor &tensor)
     const std::int64_t n = tensor.numel();
 
     // Fast pass: all-integer and branch-free so the compiler can
-    // vectorize it without -ffast-math (an fp max reduction would not).
-    // A float is NaN or Inf exactly when its exponent field is all
-    // ones, i.e. |bits| >= 0x7f800000; and for absolute values the IEEE
-    // ordering matches the unsigned-integer ordering of the bit
-    // patterns, so the magnitude max is an integer max.
+    // vectorize it. A float is NaN or Inf exactly when its exponent
+    // field is all ones, i.e. |bits| >= 0x7f800000.
     std::uint32_t non_finite_seen = 0;
-    std::uint32_t max_abs_bits = 0;
     for (std::int64_t i = 0; i < n; ++i) {
         std::uint32_t bits;
         std::memcpy(&bits, &values[i], sizeof(bits));
-        const std::uint32_t abs_bits = bits & 0x7fffffffu;
         non_finite_seen |=
-            static_cast<std::uint32_t>(abs_bits >= 0x7f800000u);
-        max_abs_bits = abs_bits > max_abs_bits ? abs_bits : max_abs_bits;
+            static_cast<std::uint32_t>((bits & 0x7fffffffu) >= 0x7f800000u);
     }
-    std::memcpy(&scan.max_abs, &max_abs_bits, sizeof(scan.max_abs));
     if (non_finite_seen == 0)
         return scan;
 
     // Slow pass, only on tainted tensors: classify and locate.
-    scan.max_abs = 0.0f;
     for (std::int64_t i = 0; i < n; ++i) {
         const float value = values[i];
         if (std::isnan(value)) {
@@ -194,8 +186,6 @@ scan_floats(const Tensor &tensor)
             scan.has_inf = true;
             if (scan.first_non_finite < 0)
                 scan.first_non_finite = i;
-        } else {
-            scan.max_abs = std::max(scan.max_abs, std::fabs(value));
         }
     }
     return scan;

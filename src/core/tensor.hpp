@@ -134,8 +134,6 @@ class Tensor
 struct FloatScan {
     bool has_nan = false;
     bool has_inf = false;
-    /** Largest |value| over the finite elements (0 for empty tensors). */
-    float max_abs = 0.0f;
     /** Flat index of the first NaN/Inf element, -1 when all finite. */
     std::int64_t first_non_finite = -1;
 
@@ -143,10 +141,9 @@ struct FloatScan {
 };
 
 /**
- * Scans an fp32 tensor for NaN/Inf and the finite magnitude peak in one
- * vectorizable pass (the slower classifying pass runs only when the
- * fast pass saw a non-finite exponent). Non-fp32 or storage-less
- * tensors report a clean scan.
+ * Scans an fp32 tensor for NaN/Inf in one vectorizable pass (the slower
+ * classifying pass runs only when the fast pass saw a non-finite
+ * exponent). Non-fp32 or storage-less tensors report a clean scan.
  */
 FloatScan scan_floats(const Tensor &tensor);
 

@@ -418,8 +418,7 @@ Engine::execute_step(std::size_t index, const DeadlineToken &deadline,
     // this invocation becomes the probe of the fast kernel. Without the
     // guard there is no probe verification, so an open breaker stays
     // open.
-    if (health.state == BreakerState::kOpen && policy.enabled &&
-        policy.allow_recovery) {
+    if (health.state == BreakerState::kOpen && policy.enabled) {
         const std::chrono::duration<double, std::milli> open_for =
             started - health.opened_at;
         if (open_for.count() >= policy.cooldown_ms) {
@@ -487,25 +486,11 @@ Engine::execute_step(std::size_t index, const DeadlineToken &deadline,
         return;
     }
 
-    if (!policy.enabled)
+    // The reference is the trusted root: its outputs are not scanned,
+    // and a step without one has no second opinion to confirm against.
+    if (!policy.enabled || routed_to_reference ||
+        step.reference_impl.empty())
         return;
-
-    if (routed_to_reference) {
-        // The reference is the trusted root; scanning it is opt-in and
-        // fail-stop (there is nothing left to confirm against).
-        if (policy.flag_reference_outputs) {
-            for (std::size_t i = 0; i < step.outputs.size(); ++i) {
-                const GuardVerdict verdict =
-                    scan_output(*step.outputs[i], policy);
-                if (!verdict.ok())
-                    throw DataCorruptionError(
-                        "reference kernel " + step.op_type + "." +
-                        step.reference_impl + " on node " +
-                        step.node_name + ": " + verdict.detail);
-            }
-        }
-        return;
-    }
 
     GuardVerdict verdict = confirm_outputs(step);
     // A half-open probe is always shadow-verified before the breaker
@@ -517,21 +502,16 @@ Engine::execute_step(std::size_t index, const DeadlineToken &deadline,
         (policy.shadow_every_n > 0 &&
          (step.invocations + index) % static_cast<std::uint64_t>(
                                           policy.shadow_every_n) == 0);
-    if (verdict.ok() && shadow_due && !step.reference_impl.empty())
+    if (verdict.ok() && shadow_due)
         verdict = run_shadow(step);
 
     if (!verdict.ok()) {
         const std::string reason =
             std::string(to_string(verdict.trip)) + ": " + verdict.detail;
         record_trip(index, verdict.trip, reason);
-        if (policy.fail_on_corruption)
-            throw DataCorruptionError("node " + step.node_name + " (" +
-                                      step.op_type + "." +
-                                      step.layer->impl_name() +
-                                      "): " + reason);
-        // Availability mode: the outputs already hold the reference
-        // result (confirm/shadow corrected them); keep running.
-        return;
+        throw DataCorruptionError("node " + step.node_name + " (" +
+                                  step.op_type + "." +
+                                  step.layer->impl_name() + "): " + reason);
     }
 
     health.consecutive_trips = 0;
@@ -569,25 +549,18 @@ Engine::reference_layer(PlanStep &step)
 GuardVerdict
 Engine::confirm_outputs(PlanStep &step)
 {
-    const GuardPolicy &policy = options_.guard;
     for (std::size_t i = 0; i < step.outputs.size(); ++i) {
-        GuardVerdict verdict = scan_output(*step.outputs[i], policy);
+        GuardVerdict verdict = scan_output(*step.outputs[i]);
         if (verdict.ok())
             continue;
         verdict.output_index = i;
-        if (step.reference_impl.empty()) {
-            // No second opinion exists; the policy decides whether the
-            // only implementation is trusted.
-            return policy.flag_reference_outputs ? verdict
-                                                 : GuardVerdict{};
-        }
         // Second opinion: re-run on the reference into the live
         // outputs. If it reproduces the hit, the model legitimately
         // produces these values (e.g. a genuine overflow) — not
         // corruption. Either way the outputs now hold the reference
         // result, so downstream steps consume trusted data.
         reference_layer(step).forward(step.inputs, step.outputs);
-        const GuardVerdict confirm = scan_output(*step.outputs[i], policy);
+        const GuardVerdict confirm = scan_output(*step.outputs[i]);
         if (!confirm.ok())
             return GuardVerdict{};
         return verdict;
@@ -833,21 +806,10 @@ Engine::try_run(const std::map<std::string, Tensor> &inputs,
                 std::map<std::string, Tensor> &outputs,
                 const DeadlineToken &deadline)
 {
-    ORPHEUS_RETURN_IF_ERROR(validate_inputs(inputs));
-    try {
-        outputs = run(inputs, deadline);
-        return Status::ok();
-    } catch (const DeadlineExceededError &error) {
-        return deadline_exceeded_error(error.what());
-    } catch (const DataCorruptionError &error) {
-        return data_corruption_error(error.what());
-    } catch (const Error &error) {
-        return internal_error(std::string("inference failed: ") +
-                              error.what());
-    } catch (const std::exception &error) {
-        return internal_error(
-            std::string("inference failed unexpectedly: ") + error.what());
-    }
+    std::vector<std::map<std::string, Tensor>> results;
+    ORPHEUS_RETURN_IF_ERROR(try_run_batch({&inputs}, results, deadline));
+    outputs = std::move(results.front());
+    return Status::ok();
 }
 
 Tensor

@@ -8,6 +8,29 @@
 
 namespace orpheus {
 
+namespace {
+
+/** Health penalty per outcome attributed to a replica, and the reward
+ *  per clean completion (the penalty is floored at 0). */
+constexpr double kHangPenalty = 1.6;
+constexpr double kCorruptionPenalty = 1.2;
+constexpr double kFaultPenalty = 1.0;
+constexpr double kSuccessReward = 0.5;
+
+/** Deadline of the readmission probe inference. */
+constexpr double kProbeDeadlineMs = 1000.0;
+
+std::int64_t
+breaker_opens(const Engine &engine)
+{
+    std::int64_t opens = 0;
+    for (const PlanStep &step : engine.steps())
+        opens += step.health.opens_total;
+    return opens;
+}
+
+} // namespace
+
 const char *
 to_string(ReplicaState state)
 {
@@ -29,8 +52,7 @@ EnginePool::Lease::~Lease()
         pool_ = nullptr;
         std::lock_guard<std::mutex> lock(pool->mutex_);
         pool->apply_pending_demotions_locked(id);
-        pool->replicas_[id].leased = false;
-        pool->replica_free_.notify_all();
+        pool->unlease_locked(id);
     }
 }
 
@@ -51,23 +73,18 @@ EnginePool::EnginePool(Graph graph, EngineOptions engine_options,
     replica_storage_count_ = static_cast<std::size_t>(options_.replicas) +
                              static_cast<std::size_t>(options_.warm_spares);
     monitors_.reserve(replica_storage_count_);
+    for (std::size_t i = 0; i < replica_storage_count_; ++i)
+        monitors_.push_back(std::make_shared<ExecutionMonitor>());
     replicas_.reserve(replica_storage_count_);
     for (std::size_t i = 0; i < replica_storage_count_; ++i) {
-        monitors_.push_back(std::make_shared<ExecutionMonitor>());
-        EngineOptions per_replica = engine_options;
-        per_replica.execution_monitor = monitors_.back();
-        per_replica.pack_cache = pack_cache_;
-        if (i < options_.per_replica_injectors.size() &&
-            options_.per_replica_injectors[i] != nullptr)
-            per_replica.fault_injector = options_.per_replica_injectors[i];
         Replica replica;
         // The last replica may consume the caller's graph; the rest
         // compile from copies. Every replica after the first hits the
         // shared pack cache instead of rebuilding constant packs.
-        replica.engine = std::make_unique<Engine>(
+        replica.engine = compile_replica(
             i + 1 == replica_storage_count_ ? std::move(graph)
                                             : Graph(graph),
-            std::move(per_replica));
+            engine_options, i, pack_cache_);
         replica.state = i < static_cast<std::size_t>(options_.replicas)
                             ? ReplicaState::kActive
                             : ReplicaState::kSpare;
@@ -79,6 +96,19 @@ EnginePool::EnginePool(Graph graph, EngineOptions engine_options,
          replicas_.front().engine->request_inputs())
         probe_inputs_.emplace(input.name,
                               Tensor(input.shape, input.dtype));
+}
+
+std::unique_ptr<Engine>
+EnginePool::compile_replica(Graph graph, EngineOptions options,
+                            std::size_t id,
+                            std::shared_ptr<ConstantPackCache> cache) const
+{
+    options.execution_monitor = monitors_.at(id);
+    options.pack_cache = std::move(cache);
+    if (id < options_.per_replica_injectors.size() &&
+        options_.per_replica_injectors[id] != nullptr)
+        options.fault_injector = options_.per_replica_injectors[id];
+    return std::make_unique<Engine>(std::move(graph), std::move(options));
 }
 
 std::size_t
@@ -256,9 +286,8 @@ EnginePool::acquire(const DeadlineToken &deadline,
             return Lease(this, candidate, replica.engine.get());
         }
         ++stats_.probe_failures;
-        replica.leased = false;
         replica.last_fault = "probe failed: " + failure;
-        replica_free_.notify_all();
+        unlease_locked(candidate);
         ORPHEUS_WARN("engine pool: replica " << candidate
                                              << " failed its readmission "
                                                 "probe: "
@@ -365,7 +394,8 @@ EnginePool::swap_replica(std::size_t id, std::unique_ptr<Engine> engine,
     replica.generation = generation;
     replica.health_penalty = 0;
     replica.pending_demotions.clear();
-    replica.pending_hang_penalty = 0;
+    replica.pending_penalty = 0;
+    replica.breaker_opens = breaker_opens(*replica.engine);
     replica.last_fault.clear();
     replica.window = ReplicaWindow{};
     if (replica.state == ReplicaState::kQuarantined)
@@ -438,25 +468,33 @@ EnginePool::revive(std::size_t id, std::string *failure)
         *failure = error.what();
         return false;
     }
-    if (!options_.probe_on_readmission)
-        return true;
-    std::map<std::string, Tensor> outputs;
-    const Status verdict = engine.try_run(
-        probe_inputs_, outputs,
-        DeadlineToken::after_ms(options_.probe_deadline_ms));
+    const Status verdict = probe(engine, kProbeDeadlineMs);
     if (!verdict.is_ok())
         *failure = verdict.to_string();
     return verdict.is_ok();
+}
+
+Status
+EnginePool::probe(Engine &engine, double deadline_ms) const
+{
+    std::map<std::string, Tensor> outputs;
+    ORPHEUS_RETURN_IF_ERROR(engine.try_run(
+        probe_inputs_, outputs, DeadlineToken::after_ms(deadline_ms)));
+    for (const auto &[name, tensor] : outputs)
+        if (!scan_floats(tensor).all_finite())
+            return data_corruption_error("probe output '" + name +
+                                         "' contains non-finite values");
+    return Status::ok();
 }
 
 void
 EnginePool::apply_pending_demotions_locked(std::size_t id)
 {
     Replica &replica = replicas_[id];
-    replica.health_penalty += replica.pending_hang_penalty;
-    if (replica.pending_hang_penalty > 0)
+    replica.health_penalty += replica.pending_penalty;
+    if (replica.pending_penalty > 0)
         ++replica.failures;
-    replica.pending_hang_penalty = 0;
+    replica.pending_penalty = 0;
     std::vector<PendingDemotion> todo;
     todo.swap(replica.pending_demotions);
     for (const PendingDemotion &demotion : todo) {
@@ -500,15 +538,15 @@ EnginePool::release(Lease lease, const Status &outcome, double run_ms,
 
     if (outcome.is_ok()) {
         replica.health_penalty = std::max(
-            0.0, replica.health_penalty - options_.success_reward);
+            0.0, replica.health_penalty - kSuccessReward);
         replica.window.ok += requests;
     } else if (outcome.code() == StatusCode::kDataCorruption) {
-        replica.health_penalty += options_.corruption_penalty;
+        replica.health_penalty += kCorruptionPenalty;
         ++replica.failures;
         replica.window.corruption += requests;
         replica.last_fault = outcome.to_string();
     } else if (outcome.code() == StatusCode::kInternal) {
-        replica.health_penalty += options_.fault_penalty;
+        replica.health_penalty += kFaultPenalty;
         ++replica.failures;
         replica.window.fault += requests;
         replica.last_fault = outcome.to_string();
@@ -528,7 +566,14 @@ EnginePool::release(Lease lease, const Status &outcome, double run_ms,
                      << replica.last_fault << ")");
         promote_spare_locked();
     }
+    unlease_locked(id);
+}
 
+void
+EnginePool::unlease_locked(std::size_t id)
+{
+    Replica &replica = replicas_[id];
+    replica.breaker_opens = breaker_opens(*replica.engine);
     replica.leased = false;
     replica_free_.notify_all();
 }
@@ -542,7 +587,7 @@ EnginePool::report_hang(std::size_t replica, std::size_t step_index,
         return;
     replicas_[replica].pending_demotions.push_back(
         PendingDemotion{step_index, reason});
-    replicas_[replica].pending_hang_penalty += options_.hang_penalty;
+    replicas_[replica].pending_penalty += kHangPenalty;
     ++replicas_[replica].window.hang;
     replicas_[replica].last_fault = reason;
 }
@@ -554,15 +599,6 @@ EnginePool::engine(std::size_t index) const
                   "replica index " << index << " out of range (pool has "
                                    << replicas_.size() << " replicas)");
     return *replicas_[index].engine;
-}
-
-std::int64_t
-EnginePool::breaker_opens(const Engine &engine) const
-{
-    std::int64_t opens = 0;
-    for (const PlanStep &step : engine.steps())
-        opens += step.health.opens_total;
-    return opens;
 }
 
 EnginePoolStats
@@ -599,7 +635,7 @@ EnginePool::snapshot() const
         view.generation = replica.generation;
         view.served = replica.served;
         view.failures = replica.failures;
-        view.breaker_opens = breaker_opens(*replica.engine);
+        view.breaker_opens = replica.breaker_opens;
         view.last_fault = replica.last_fault;
         snapshots.push_back(std::move(view));
     }

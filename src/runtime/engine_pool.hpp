@@ -11,17 +11,17 @@
  * to the healthiest free replica.
  *
  * Per-replica health is a decaying penalty score fed by outcomes:
- * guard-confirmed corruption, kernel faults and watchdog hangs add
- * penalty; clean completions subtract it. A replica whose penalty
- * crosses the quarantine threshold is taken out of rotation (a warm
- * spare, if configured, is promoted in its place). Quarantine is
- * applied at lease release, so a replica is always drained before it
- * is touched. Readmission is probe-gated: when the pool runs out of
- * healthy replicas it restores the quarantined replica's demoted steps
- * via Engine::restore_step, runs a zero-input probe inference under a
- * probe deadline, and only readmits on a clean result — a persistently
- * faulty replica stays out and acquire() fails fast with
- * kResourceExhausted instead of hanging.
+ * watchdog hangs (1.6), guard-confirmed corruption (1.2) and kernel
+ * faults (1.0) add penalty; clean completions subtract 0.5. A replica
+ * whose penalty crosses the quarantine threshold is taken out of
+ * rotation (a warm spare, if configured, is promoted in its place).
+ * Quarantine is applied at lease release, so a replica is always
+ * drained before it is touched. Readmission is probe-gated: when the
+ * pool runs out of healthy replicas it restores the quarantined
+ * replica's demoted steps via Engine::restore_step, runs a zero-input
+ * probe inference under a 1 s deadline, and only readmits on a clean,
+ * all-finite result — a persistently faulty replica stays out and
+ * acquire() fails fast with kResourceExhausted instead of hanging.
  *
  *   ACTIVE ──(penalty ≥ threshold at release)──▶ QUARANTINED
  *     ▲                                              │
@@ -57,25 +57,6 @@ struct EnginePoolOptions {
 
     /** Health penalty at which a replica is quarantined at release. */
     double quarantine_threshold = 3.0;
-
-    /** Penalty added per watchdog hang attributed to the replica. */
-    double hang_penalty = 1.6;
-
-    /** Penalty added per guard-confirmed kDataCorruption outcome. */
-    double corruption_penalty = 1.2;
-
-    /** Penalty added per kInternal (kernel fault) outcome. */
-    double fault_penalty = 1.0;
-
-    /** Penalty subtracted per clean completion (floored at 0). */
-    double success_reward = 0.5;
-
-    /** Gate readmission on a clean probe inference; disabling readmits
-     *  on restore_step alone (tests). */
-    bool probe_on_readmission = true;
-
-    /** Deadline of the readmission probe inference. */
-    double probe_deadline_ms = 1000.0;
 
     /**
      * Per-replica fault injectors (chaos harnesses): entry i, when
@@ -117,7 +98,8 @@ struct ReplicaSnapshot {
     std::uint64_t generation = 0;
     std::int64_t served = 0;
     std::int64_t failures = 0;
-    /** Breaker-open transitions across this replica's plan steps. */
+    /** Breaker-open transitions across this replica's plan steps, as
+     *  of its last release or swap (a leased engine is never read). */
     std::int64_t breaker_opens = 0;
     std::string last_fault;
 };
@@ -301,8 +283,8 @@ class EnginePool
      * as active by the swap (its replacement engine is fresh).
      *
      * The new engine must observe the pool's per-replica contracts:
-     * compile it against monitors()[id] so watchdog attribution keeps
-     * working across the swap.
+     * compile it with compile_replica(..., id, ...) so watchdog
+     * attribution and fault injection keep working across the swap.
      */
     std::unique_ptr<Engine> swap_replica(std::size_t id,
                                          std::unique_ptr<Engine> engine,
@@ -342,6 +324,25 @@ class EnginePool
     void report_hang(std::size_t replica, std::size_t step_index,
                      const std::string &reason);
 
+    /**
+     * Compiles @p graph into an engine for replica @p id: @p options
+     * with that replica's execution monitor and fault injector (from
+     * per_replica_injectors) and with @p cache as its pack cache.
+     * Throws on compile errors.
+     */
+    std::unique_ptr<Engine>
+    compile_replica(Graph graph, EngineOptions options, std::size_t id,
+                    std::shared_ptr<ConstantPackCache> cache) const;
+
+    /**
+     * Zero-input health probe: one inference of @p engine (a replica
+     * the caller holds exclusively) on all-zero inputs within
+     * @p deadline_ms. Fails with the run's status, or with
+     * kDataCorruption when an fp32 output holds NaN/Inf — an unguarded
+     * engine returns OK on a model that emits non-finite values.
+     */
+    Status probe(Engine &engine, double deadline_ms) const;
+
     // --- Introspection ----------------------------------------------------
 
     /** All monitors, replica id == index (Watchdog input). */
@@ -372,10 +373,6 @@ class EnginePool
     /** The shared prepacked-constant cache (entries/bytes/hits). */
     const ConstantPackCache &pack_cache() const { return *pack_cache_; }
 
-    /** The pool's construction options (immutable; model registry
-     *  reads the per-replica injectors when recompiling replicas). */
-    const EnginePoolOptions &options() const { return options_; }
-
     EnginePoolStats stats() const;
     std::vector<ReplicaSnapshot> snapshot() const;
 
@@ -394,9 +391,11 @@ class EnginePool
         std::uint64_t generation = 0;
         std::int64_t served = 0;
         std::int64_t failures = 0;
+        std::int64_t breaker_opens = 0;
         std::string last_fault;
         std::vector<PendingDemotion> pending_demotions;
-        double pending_hang_penalty = 0;
+        /** Hang penalty queued by report_hang, applied at release. */
+        double pending_penalty = 0;
         ReplicaWindow window;
     };
 
@@ -420,8 +419,11 @@ class EnginePool
      *  marked leased. Returns true when the replica is clean. */
     bool revive(std::size_t id, std::string *failure);
 
+    /** Returns leased replica @p id to the pool and caches its breaker
+     *  count while the engine is quiescent. Caller holds mutex_. */
+    void unlease_locked(std::size_t id);
+
     std::size_t count_in_rotation_locked() const;
-    std::int64_t breaker_opens(const Engine &engine) const;
 
     EnginePoolOptions options_;
     std::shared_ptr<ConstantPackCache> pack_cache_;

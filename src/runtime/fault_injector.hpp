@@ -48,8 +48,8 @@ enum class CorruptionKind {
     /** The top mantissa bit of the middle element flips — a finite,
      *  plausible-looking value only shadow execution can catch. */
     kBitFlip,
-    /** Element 0 becomes 1e30f (caught by the magnitude limit or
-     *  shadow execution, but not the non-finite scan). */
+    /** Element 0 becomes 1e30f (caught by shadow execution, but not
+     *  the non-finite scan). */
     kMagnitudeSpike,
 };
 

@@ -5,13 +5,20 @@
 
 namespace orpheus {
 
+namespace {
+
+/** Shadow comparison: a residual difference within this many ULPs
+ *  passes (fp32 accumulation-order and FMA-contraction noise). */
+constexpr std::int64_t kShadowMaxUlps = 64;
+
+} // namespace
+
 const char *
 to_string(GuardTrip trip)
 {
     switch (trip) {
       case GuardTrip::kNone: return "none";
       case GuardTrip::kNonFinite: return "non-finite output";
-      case GuardTrip::kMagnitude: return "magnitude blow-up";
       case GuardTrip::kShadowDiverged: return "shadow divergence";
       case GuardTrip::kFault: return "kernel fault";
     }
@@ -30,31 +37,18 @@ to_string(BreakerState state)
 }
 
 GuardVerdict
-scan_output(const Tensor &output, const GuardPolicy &policy)
+scan_output(const Tensor &output)
 {
     GuardVerdict verdict;
-    if (!output.has_storage() || output.dtype() != DataType::kFloat32)
-        return verdict;
-
     const FloatScan scan = scan_floats(output);
-    if (policy.check_non_finite && !scan.all_finite()) {
-        verdict.trip = GuardTrip::kNonFinite;
-        verdict.element_index = scan.first_non_finite;
-        std::ostringstream detail;
-        detail << (scan.has_nan ? "NaN" : "Inf") << " at element "
-               << scan.first_non_finite << " of " << output.to_string();
-        verdict.detail = detail.str();
+    if (scan.all_finite())
         return verdict;
-    }
-    if (policy.magnitude_limit > 0.0f &&
-        scan.max_abs > policy.magnitude_limit) {
-        verdict.trip = GuardTrip::kMagnitude;
-        std::ostringstream detail;
-        detail << "max |value| " << scan.max_abs << " exceeds limit "
-               << policy.magnitude_limit << " in " << output.to_string();
-        verdict.detail = detail.str();
-        return verdict;
-    }
+    verdict.trip = GuardTrip::kNonFinite;
+    verdict.element_index = scan.first_non_finite;
+    std::ostringstream detail;
+    detail << (scan.has_nan ? "NaN" : "Inf") << " at element "
+           << scan.first_non_finite << " of " << output.to_string();
+    verdict.detail = detail.str();
     return verdict;
 }
 
@@ -84,7 +78,7 @@ compare_shadow(const Tensor &fast, const Tensor &reference,
         if (diff <= policy.shadow_atol +
                         policy.shadow_rtol * std::fabs(r))
             continue;
-        if (ulp_distance(f, r) <= policy.shadow_max_ulps)
+        if (ulp_distance(f, r) <= kShadowMaxUlps)
             continue;
         comparison.diverged = true;
         comparison.element_index = i;

@@ -10,7 +10,7 @@
  * detectors and lets the breaker recover, all off by default:
  *
  *  1. Output scanning: after each plan step, outputs are scanned for
- *     NaN/Inf and magnitude blow-ups in one vectorized pass.
+ *     NaN/Inf in one vectorized pass.
  *  2. Sampled shadow execution: every Nth invocation of a
  *     non-reference kernel, the step is re-run on the reference
  *     implementation and the results compared with absolute/relative/
@@ -28,7 +28,9 @@
  * A trip is only *confirmed* against the reference implementation: an
  * overflow-prone model that legitimately produces Inf does so on every
  * kernel, which the guard treats as the model's true answer rather
- * than corruption.
+ * than corruption. The reference kernel is the trusted root, so its
+ * own outputs are never scanned. A confirmed trip fails the request
+ * with DataCorruptionError.
  *
  *                 trips >= open_after_trips
  *        CLOSED ----------------------------> OPEN
@@ -56,39 +58,15 @@ struct GuardPolicy {
      *  recovery. */
     bool enabled = false;
 
-    /** Scan step outputs for NaN/Inf. */
-    bool check_non_finite = true;
-
-    /** Flag finite outputs whose |value| exceeds this (0 disables). */
-    float magnitude_limit = 0.0f;
-
     /** Re-run every Nth invocation of a non-reference kernel on the
      *  reference implementation and compare (0 disables). */
     int shadow_every_n = 0;
 
     /** Shadow comparison: |fast - ref| <= atol + rtol * |ref| passes
      *  (multiply form — an exact-zero reference never divides), and a
-     *  residual difference within max_ulps also passes. */
+     *  residual difference within 64 ULPs also passes. */
     float shadow_atol = 1e-5f;
     float shadow_rtol = 1e-4f;
-    std::int64_t shadow_max_ulps = 64;
-
-    /**
-     * Scan outputs produced by the reference implementation too, and
-     * treat a hit as corruption outright (there is nothing to confirm
-     * against). Off by default: the reference kernel is the trusted
-     * root, so its non-finite output is the model's true answer —
-     * which is what lets legitimately overflowing models run guarded.
-     */
-    bool flag_reference_outputs = false;
-
-    /**
-     * Fail the request with DataCorruptionError when a trip is
-     * confirmed. When false the engine serves the (correct) reference
-     * re-execution instead and only the breaker state records the
-     * event — availability over fail-stop.
-     */
-    bool fail_on_corruption = true;
 
     /** Consecutive confirmed trips/faults that open the breaker. */
     int open_after_trips = 2;
@@ -96,17 +74,12 @@ struct GuardPolicy {
     /** How long an open breaker routes to the reference kernel before
      *  a half-open probe re-tries the fast kernel. */
     double cooldown_ms = 250.0;
-
-    /** Allow half-open probes at all; false makes an open breaker
-     *  permanent (what a disabled guard always does). */
-    bool allow_recovery = true;
 };
 
 /** Why a step tripped the guard. */
 enum class GuardTrip {
     kNone = 0,
     kNonFinite,      ///< NaN or Inf in an output.
-    kMagnitude,      ///< Finite output beyond magnitude_limit.
     kShadowDiverged, ///< Reference re-execution disagrees.
     kFault,          ///< The kernel threw (unified into the breaker).
 };
@@ -126,11 +99,11 @@ struct GuardVerdict {
 };
 
 /**
- * Scans @p output (fp32; other dtypes pass trivially) against
- * @p policy. Pure function of the tensor — confirmation against the
- * reference implementation is the engine's job.
+ * Scans @p output (fp32; other dtypes pass trivially) for NaN/Inf.
+ * Pure function of the tensor — confirmation against the reference
+ * implementation is the engine's job.
  */
-GuardVerdict scan_output(const Tensor &output, const GuardPolicy &policy);
+GuardVerdict scan_output(const Tensor &output);
 
 /** Result of comparing a fast kernel's output against the reference. */
 struct ShadowComparison {

@@ -1,7 +1,6 @@
 #include "runtime/model_registry.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -12,6 +11,17 @@
 namespace orpheus {
 
 namespace {
+
+/** Canary verdict: the canary fails when its error rate exceeds the
+ *  incumbents' by more than kMaxErrorRateExcess, or its P99 exceeds
+ *  kMaxP99Ratio times theirs (histogram buckets are ~30 % wide, so the
+ *  ratio stays >= 2). */
+constexpr double kMaxErrorRateExcess = 0.05;
+constexpr double kMaxP99Ratio = 4.0;
+
+/** Per-replica drain deadline during swaps, also the deadline of each
+ *  canary warm-up probe. */
+constexpr double kDrainDeadlineMs = 5000;
 
 double
 elapsed_ms_since(std::chrono::steady_clock::time_point start)
@@ -82,20 +92,6 @@ ModelRegistry::ModelRegistry(EnginePool &pool, EngineOptions engine_options)
     generations_.push_back(std::move(info));
 }
 
-std::unique_ptr<Engine>
-ModelRegistry::compile_for_replica(
-    const Graph &graph, std::size_t replica,
-    const std::shared_ptr<ConstantPackCache> &cache)
-{
-    EngineOptions options = engine_options_;
-    options.pack_cache = cache;
-    options.execution_monitor = pool_.monitors().at(replica);
-    const auto &injectors = pool_.options().per_replica_injectors;
-    if (replica < injectors.size() && injectors[replica] != nullptr)
-        options.fault_injector = injectors[replica];
-    return std::make_unique<Engine>(Graph(graph), std::move(options));
-}
-
 Status
 ModelRegistry::check_signature(const Graph &graph) const
 {
@@ -109,40 +105,17 @@ ModelRegistry::check_signature(const Graph &graph) const
 }
 
 Status
-ModelRegistry::probe_canary(std::size_t replica, double deadline_ms)
+ModelRegistry::probe_canary(std::size_t replica)
 {
     Status why = internal_error("canary probe acquire failed");
     EnginePool::Lease lease = pool_.acquire_specific(
-        replica, DeadlineToken::after_ms(deadline_ms), &why);
+        replica, DeadlineToken::after_ms(kDrainDeadlineMs), &why);
     if (!lease.valid())
         return why;
-
-    std::map<std::string, Tensor> inputs;
-    for (const ValueInfo &input : signature_.inputs)
-        inputs.emplace(input.name, Tensor(input.shape, input.dtype));
-    std::map<std::string, Tensor> outputs;
     const auto started = std::chrono::steady_clock::now();
-    const Status verdict = lease.engine().try_run(
-        inputs, outputs, DeadlineToken::after_ms(deadline_ms));
+    Status verdict = pool_.probe(lease.engine(), kDrainDeadlineMs);
     pool_.release(std::move(lease), verdict, elapsed_ms_since(started));
-    if (!verdict.is_ok())
-        return verdict;
-
-    // A guard-less engine returns OK on a silently corrupted model;
-    // scan the probe outputs so a NaN-producing generation is rejected
-    // regardless of guard configuration.
-    for (const auto &[name, tensor] : outputs) {
-        if (tensor.dtype() != DataType::kFloat32 || !tensor.has_storage())
-            continue;
-        const float *data = tensor.data<float>();
-        const std::int64_t count = tensor.numel();
-        for (std::int64_t i = 0; i < count; ++i)
-            if (!std::isfinite(data[i]))
-                return data_corruption_error(
-                    "canary probe output '" + name +
-                    "' contains non-finite values");
-    }
-    return Status::ok();
+    return verdict;
 }
 
 void
@@ -226,7 +199,8 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
     auto cache = std::make_shared<ConstantPackCache>();
     std::unique_ptr<Engine> canary_engine;
     try {
-        canary_engine = compile_for_replica(graph, canary, cache);
+        canary_engine = pool_.compile_replica(Graph(graph), engine_options_,
+                                              canary, cache);
     } catch (const std::exception &error) {
         return reject(model_rejected_error(
                           std::string("generation failed to compile: ") +
@@ -239,7 +213,7 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
     Status swap_why = internal_error("swap failed");
     std::unique_ptr<Engine> displaced = pool_.swap_replica(
         canary, std::move(canary_engine), report.generation,
-        DeadlineToken::after_ms(options.drain_deadline_ms), &swap_why);
+        DeadlineToken::after_ms(kDrainDeadlineMs), &swap_why);
     if (displaced == nullptr)
         return reject(std::move(swap_why), GenerationState::kQuarantined);
 
@@ -248,7 +222,7 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
         Status restore_why;
         std::unique_ptr<Engine> bad = pool_.swap_replica(
             canary, std::move(displaced), incumbent_generation,
-            DeadlineToken::after_ms(options.drain_deadline_ms),
+            DeadlineToken::after_ms(kDrainDeadlineMs),
             &restore_why);
         if (bad == nullptr)
             // The drain deadline expired mid-rollback; the replica
@@ -260,8 +234,7 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
     };
 
     for (int probe = 0; probe < options.warmup_probes; ++probe) {
-        Status verdict =
-            probe_canary(canary, options.drain_deadline_ms);
+        Status verdict = probe_canary(canary);
         if (!verdict.is_ok()) {
             roll_back();
             return reject(model_rejected_error(
@@ -298,22 +271,22 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
         const ReplicaWindow &can = windows[canary];
         if (can.bad() > 0 &&
             can.error_rate() >
-                incumbent.error_rate() + options.max_error_rate_excess) {
+                incumbent.error_rate() + kMaxErrorRateExcess) {
             failed = true;
             verdict << "canary error rate " << can.error_rate()
                     << " exceeds incumbent " << incumbent.error_rate()
-                    << " by more than " << options.max_error_rate_excess;
+                    << " by more than " << kMaxErrorRateExcess;
         } else if (can.latency.count() > 0 &&
                    incumbent.latency.count() > 0) {
             const double incumbent_p99 =
                 incumbent.latency.percentile(0.99);
             const double canary_p99 = can.latency.percentile(0.99);
             if (incumbent_p99 > 0 &&
-                canary_p99 > incumbent_p99 * options.max_p99_ratio) {
+                canary_p99 > incumbent_p99 * kMaxP99Ratio) {
                 failed = true;
                 verdict << "canary P99 " << canary_p99
                         << " ms exceeds incumbent P99 " << incumbent_p99
-                        << " ms by more than x" << options.max_p99_ratio;
+                        << " ms by more than x" << kMaxP99Ratio;
             }
         }
         if (failed) {
@@ -332,7 +305,8 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
             continue;
         std::unique_ptr<Engine> replacement;
         try {
-            replacement = compile_for_replica(graph, snap.id, cache);
+            replacement = pool_.compile_replica(
+                Graph(graph), engine_options_, snap.id, cache);
         } catch (const std::exception &error) {
             rolling_detail << "; replica " << snap.id
                            << " recompile failed: " << error.what();
@@ -341,7 +315,7 @@ ModelRegistry::roll_out(Graph graph, const RolloutOptions &options)
         Status why = internal_error("swap failed");
         std::unique_ptr<Engine> old = pool_.swap_replica(
             snap.id, std::move(replacement), report.generation,
-            DeadlineToken::after_ms(options.drain_deadline_ms), &why);
+            DeadlineToken::after_ms(kDrainDeadlineMs), &why);
         if (old != nullptr)
             ++report.replicas_swapped;
         else

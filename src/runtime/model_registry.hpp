@@ -27,14 +27,17 @@
  *    configurable slice of live acquires is routed to the canary while
  *    per-replica outcome/latency windows accumulate.
  *  - Verdict: the canary's corruption/fault/hang rate and P99 are
- *    compared against the merged incumbent windows. Fail → the
- *    displaced incumbent engine (kept aside) is swapped straight back,
- *    the generation is quarantined, and roll_out returns the typed
- *    kModelRejected status. The incumbent never stopped serving.
+ *    compared against the merged incumbent windows: the canary fails
+ *    when its error rate exceeds the incumbents' by more than 0.05, or
+ *    its P99 exceeds 4× theirs. Fail → the displaced incumbent engine
+ *    (kept aside) is swapped straight back, the generation is
+ *    quarantined, and roll_out returns the typed kModelRejected
+ *    status. The incumbent never stopped serving.
  *  - ROLLING: on pass, the remaining replicas and warm spares are
  *    drained-and-swapped one at a time (the generation's pack cache
  *    makes each compile a cache hit). The old generation is RETIRED and
- *    its pack cache released.
+ *    its pack cache released. Each swap waits at most 5 s for its
+ *    replica to drain.
  *
  * Thread-safe: roll_out serialises against itself (a second concurrent
  * rollout is rejected with kFailedPrecondition, not queued), and all
@@ -84,17 +87,6 @@ struct RolloutOptions {
     /** Give up waiting for min_canary_samples after this long and
      *  judge on whatever the windows hold. */
     double observe_timeout_ms = 2000;
-
-    /** The canary's error rate may exceed the incumbent's by at most
-     *  this much. */
-    double max_error_rate_excess = 0.05;
-
-    /** The canary's P99 may be at most this multiple of the
-     *  incumbent's (histogram buckets are ~30 % wide; keep >= 2). */
-    double max_p99_ratio = 4.0;
-
-    /** Per-replica drain deadline during swaps. */
-    double drain_deadline_ms = 5000;
 };
 
 /** Introspection view of one generation (CLI tables, stats). */
@@ -166,18 +158,12 @@ class ModelRegistry
         std::vector<ValueInfo> outputs;
     };
 
-    /** Compiles @p graph for replica @p replica of generation @p id.
-     *  Throws on compile errors (caller maps to kModelRejected). */
-    std::unique_ptr<Engine>
-    compile_for_replica(const Graph &graph, std::size_t replica,
-                        const std::shared_ptr<ConstantPackCache> &cache);
-
     /** Signature compatibility of @p graph vs the incumbent. */
     Status check_signature(const Graph &graph) const;
 
-    /** Runs one zero-input inference on the canary replica; non-OK or
-     *  non-finite outputs reject the generation. */
-    Status probe_canary(std::size_t replica, double deadline_ms);
+    /** Runs the pool's zero-input probe on the canary replica; non-OK
+     *  or non-finite outputs reject the generation. */
+    Status probe_canary(std::size_t replica);
 
     void set_state(std::uint64_t generation, GenerationState state,
                    std::string detail = std::string());

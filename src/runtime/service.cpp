@@ -108,11 +108,8 @@ InferenceService::InferenceService(Graph graph,
     retry_tokens_ = retry_token_cap_;
 
     if (options_.enable_watchdog) {
-        WatchdogConfig config;
-        config.poll_interval_ms = options_.watchdog_poll_ms;
-        config.hang_threshold_ms = options_.hang_threshold_ms;
         watchdog_ = std::make_unique<Watchdog>(
-            config, pool_->monitors(),
+            options_.hang_threshold_ms, pool_->monitors(),
             [this](const HangReport &report) { on_hang(report); });
     }
 
@@ -130,7 +127,7 @@ InferenceService::~InferenceService()
 std::future<InferenceResponse>
 InferenceService::submit(std::map<std::string, Tensor> inputs,
                          DeadlineToken deadline,
-                         std::size_t memory_budget_bytes,
+                         std::size_t memory_budget,
                          RequestPriority priority)
 {
     std::promise<InferenceResponse> promise;
@@ -147,10 +144,6 @@ InferenceService::submit(std::map<std::string, Tensor> inputs,
                               : DeadlineToken::unlimited();
     }
 
-    const std::size_t budget = memory_budget_bytes != 0
-                                   ? memory_budget_bytes
-                                   : options_.memory_budget_bytes;
-
     std::unique_lock<std::mutex> lock(mutex_);
     ++stats_.submitted;
 
@@ -165,12 +158,12 @@ InferenceService::submit(std::map<std::string, Tensor> inputs,
                      : "inference service is stopped")));
         return future;
     }
-    if (budget != 0 && footprint_ > budget) {
+    if (memory_budget != 0 && footprint_ > memory_budget) {
         ++stats_.rejected_memory;
         lock.unlock();
         std::ostringstream message;
         message << "request activation footprint " << footprint_
-                << " bytes exceeds the memory budget of " << budget
+                << " bytes exceeds the memory budget of " << memory_budget
                 << " bytes";
         promise.set_value(rejected(resource_exhausted_error(message.str())));
         return future;
@@ -181,7 +174,7 @@ InferenceService::submit(std::map<std::string, Tensor> inputs,
     // after queue time and a replica lease.
     const bool expired = token.expired();
     bool infeasible = false;
-    if (!expired && options_.enable_feasibility_admission) {
+    if (!expired) {
         double wait_ms = estimated_wait_ms_locked(lane);
         // Expected batch-window wait: the assembler only holds a
         // request whose budget covers the window (deadline-aware
@@ -698,14 +691,11 @@ InferenceService::on_hang(const HangReport &report)
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.watchdog_hangs;
     }
-    if (options_.demote_on_hang) {
-        std::ostringstream reason;
-        reason << "watchdog: step ran for " << report.elapsed_ms
-               << " ms (threshold " << options_.hang_threshold_ms
-               << " ms)";
-        pool_->report_hang(report.monitor_index, report.step_index,
-                           reason.str());
-    }
+    std::ostringstream reason;
+    reason << "watchdog: step ran for " << report.elapsed_ms
+           << " ms (threshold " << options_.hang_threshold_ms << " ms)";
+    pool_->report_hang(report.monitor_index, report.step_index,
+                       reason.str());
     // Cancel last: once the wedged request unblocks, its lease release
     // applies the demotion queued above before the replica serves
     // another request.

@@ -11,8 +11,8 @@
  *    its own depth limit under a shared global cap. A full lane
  *    rejects with kResourceExhausted immediately (backpressure)
  *    instead of growing without bound; a request whose activation
- *    footprint exceeds its memory budget is rejected up front the
- *    same way.
+ *    footprint exceeds its per-request memory budget (a submit()
+ *    argument) is rejected up front the same way.
  *  - Deadline-feasibility admission: a request whose remaining budget
  *    cannot cover the estimated queue wait ahead of it (lane depth ×
  *    the lane's recent service-time P50 / workers) is rejected at
@@ -131,13 +131,6 @@ struct ServiceOptions {
      *  (strict class priority). */
     int aging_credit_limit = 8;
 
-    /** Deadline-feasibility admission: reject at submit (with
-     *  kDeadlineExceeded, counted in rejected_infeasible) any request
-     *  whose remaining budget cannot cover the estimated queue wait
-     *  ahead of it. Estimation needs recorded service times, so a
-     *  cold service admits everything. */
-    bool enable_feasibility_admission = true;
-
     // --- Dynamic batching -------------------------------------------------
 
     /** Largest number of same-lane queued requests one worker may
@@ -172,24 +165,13 @@ struct ServiceOptions {
      *  unlimited. */
     double default_deadline_ms = 0;
 
-    /** Per-request activation-footprint cap in bytes (0 = unlimited).
-     *  Requests whose compiled footprint exceeds it are rejected up
-     *  front with kResourceExhausted. */
-    std::size_t memory_budget_bytes = 0;
-
     /** Run the hang watchdog thread. */
     bool enable_watchdog = true;
 
-    /** A step running longer than this is treated as hung. */
+    /** A step running longer than this is treated as hung: the hung
+     *  request is cancelled and the step demoted to the reference
+     *  kernel for subsequent requests on that replica. */
     double hang_threshold_ms = 1000;
-
-    /** Watchdog poll period. */
-    double watchdog_poll_ms = 5;
-
-    /** On a detected hang, demote the offending step to the reference
-     *  kernel for subsequent requests (in addition to cancelling the
-     *  hung request). */
-    bool demote_on_hang = true;
 
     // --- Retry / failover -------------------------------------------------
 
@@ -279,7 +261,7 @@ struct ServiceStats {
      *  queued, mid-kernel cancellation, or watchdog cancellation. */
     std::int64_t deadline_exceeded = 0;
     /** kDataCorruption results: a guard verdict confirmed the fast
-     *  kernel's output wrong (fail_on_corruption policy). */
+     *  kernel's output wrong. */
     std::int64_t data_corruption = 0;
     /** Non-OK, non-deadline, non-corruption completions. */
     std::int64_t failed = 0;
@@ -392,8 +374,9 @@ class InferenceService
      * deadline, stopped service) complete the returned future
      * immediately with a typed error status. @p deadline defaults to
      * the class SLO budget (ServiceOptions::class_deadline_ms), then
-     * the service default; @p memory_budget_bytes overrides the
-     * service budget when non-zero. @p priority selects the latency
+     * the service default; a non-zero @p memory_budget (bytes)
+     * rejects the request when its activation footprint exceeds it
+     * (counted in rejected_memory). @p priority selects the latency
      * class: its lane, depth limit, histogram and degradation order —
      * batch work is deferred first under overload, real-time work
      * dispatches first.
@@ -401,7 +384,7 @@ class InferenceService
     std::future<InferenceResponse>
     submit(std::map<std::string, Tensor> inputs,
            DeadlineToken deadline = {},
-           std::size_t memory_budget_bytes = 0,
+           std::size_t memory_budget = 0,
            RequestPriority priority = RequestPriority::kInteractive);
 
     /** Synchronous convenience wrapper: submit and wait. */

@@ -1,10 +1,15 @@
 #include "runtime/watchdog.hpp"
 
-#include <algorithm>
-
 #include "core/logging.hpp"
 
 namespace orpheus {
+
+namespace {
+
+/** Poll period of the watchdog thread. */
+constexpr std::chrono::milliseconds kPollInterval{5};
+
+} // namespace
 
 void
 ExecutionMonitor::begin_request(DeadlineToken token)
@@ -62,10 +67,10 @@ ExecutionMonitor::cancel_active_request()
     token_.cancel();
 }
 
-Watchdog::Watchdog(WatchdogConfig config,
+Watchdog::Watchdog(double hang_threshold_ms,
                    std::vector<std::shared_ptr<ExecutionMonitor>> monitors,
                    std::function<void(const HangReport &)> on_hang)
-    : config_(config), monitors_(std::move(monitors)),
+    : hang_threshold_ms_(hang_threshold_ms), monitors_(std::move(monitors)),
       on_hang_(std::move(on_hang)), flagged_(monitors_.size(), 0)
 {
     thread_ = std::thread([this] { poll_loop(); });
@@ -91,13 +96,9 @@ Watchdog::stop()
 void
 Watchdog::poll_loop()
 {
-    const auto interval =
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                std::max(0.1, config_.poll_interval_ms)));
     std::unique_lock<std::mutex> lock(mutex_);
     while (!stopping_) {
-        wake_.wait_for(lock, interval, [this] { return stopping_; });
+        wake_.wait_for(lock, kPollInterval, [this] { return stopping_; });
         if (stopping_)
             return;
         for (std::size_t i = 0; i < monitors_.size(); ++i) {
@@ -105,7 +106,7 @@ Watchdog::poll_loop()
             const ExecutionMonitor::Snapshot snap = monitors_[i]->snapshot();
             lock.lock();
             if (!snap.step_active ||
-                snap.elapsed_ms < config_.hang_threshold_ms ||
+                snap.elapsed_ms < hang_threshold_ms_ ||
                 flagged_[i] == snap.sequence)
                 continue;
             flagged_[i] = snap.sequence;

@@ -75,13 +75,6 @@ class ExecutionMonitor
     std::chrono::steady_clock::time_point step_started_{};
 };
 
-struct WatchdogConfig {
-    /** Poll period of the watchdog thread. */
-    double poll_interval_ms = 5.0;
-    /** A step running longer than this is reported as hung. */
-    double hang_threshold_ms = 1000.0;
-};
-
 /** What the watchdog saw when it flagged a hang. */
 struct HangReport {
     /** Index into the monitor list handed to the Watchdog (the service's
@@ -93,15 +86,16 @@ struct HangReport {
 };
 
 /**
- * Polls a fixed set of ExecutionMonitors from a dedicated thread and
- * invokes @p on_hang (on the watchdog thread) once per hung step
- * occurrence. The callback decides the response — the service cancels
- * and demotes; tests count.
+ * Polls a fixed set of ExecutionMonitors every 5 ms from a dedicated
+ * thread and invokes @p on_hang (on the watchdog thread) once per
+ * step occurrence running longer than @p hang_threshold_ms. The
+ * callback decides the response — the service cancels and demotes;
+ * tests count.
  */
 class Watchdog
 {
   public:
-    Watchdog(WatchdogConfig config,
+    Watchdog(double hang_threshold_ms,
              std::vector<std::shared_ptr<ExecutionMonitor>> monitors,
              std::function<void(const HangReport &)> on_hang);
     ~Watchdog();
@@ -115,7 +109,7 @@ class Watchdog
   private:
     void poll_loop();
 
-    WatchdogConfig config_;
+    double hang_threshold_ms_;
     std::vector<std::shared_ptr<ExecutionMonitor>> monitors_;
     std::function<void(const HangReport &)> on_hang_;
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -432,6 +433,90 @@ TEST(EnginePool, AllReplicasQuarantinedFailsFastNotHang)
     EXPECT_EQ(why.code(), StatusCode::kResourceExhausted);
     EXPECT_LT(waited_ms, 10000.0) << "acquire must fail fast, not hang";
     EXPECT_GE(pool.stats().probe_failures, 1);
+}
+
+/** An unguarded engine returns OK on a model that emits NaN, so the
+ *  readmission probe itself must check the outputs are finite. */
+TEST(EnginePool, ReadmissionProbeRefusesNonFiniteOutputs)
+{
+    set_global_num_threads(1);
+    EngineOptions engine_options;
+    engine_options.fault_injector = std::make_shared<FaultInjector>();
+    EnginePoolOptions pool_options;
+    pool_options.replicas = 1;
+    pool_options.quarantine_threshold = 1.0;
+    EnginePool pool(models::tiny_cnn(), engine_options, pool_options);
+
+    Status why;
+    EnginePool::Lease lease = pool.acquire(DeadlineToken::after_ms(5000),
+                                           EnginePool::kNoReplica, &why);
+    ASSERT_TRUE(lease.valid()) << why.to_string();
+    pool.release(std::move(lease),
+                 internal_error("synthetic kernel fault"));
+    ASSERT_EQ(pool.stats().quarantined_replicas, 1u);
+
+    // Every kernel now poisons its output: the probe runs "OK" on NaN.
+    engine_options.fault_injector->arm_corruption("", "",
+                                                  CorruptionKind::kNaNPoke);
+    lease = pool.acquire(DeadlineToken::after_ms(5000),
+                         EnginePool::kNoReplica, &why);
+    EXPECT_FALSE(lease.valid());
+    EXPECT_EQ(why.code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(why.message().find("non-finite"), std::string::npos)
+        << why.to_string();
+    const EnginePoolStats stats = pool.stats();
+    EXPECT_EQ(stats.probe_failures, 1);
+    EXPECT_EQ(stats.readmissions, 0);
+    EXPECT_EQ(stats.quarantined_replicas, 1u);
+}
+
+/**
+ * snapshot() must not read a leased engine: the holder may be opening
+ * a breaker (writing its step health) at that moment, and the model
+ * registry snapshots the pool during live traffic. Breaker counts are
+ * taken at release, when the engine is quiescent.
+ */
+TEST(EnginePool, SnapshotReadsBreakerCountAtReleaseNotFromLeasedEngine)
+{
+    set_global_num_threads(1);
+    EngineOptions engine_options;
+    engine_options.backend.forced_impl["Conv"] = "im2col_gemm";
+    EnginePool pool(models::tiny_cnn(), engine_options, EnginePoolOptions{});
+
+    Status why;
+    EnginePool::Lease lease = pool.acquire(DeadlineToken::after_ms(5000),
+                                           EnginePool::kNoReplica, &why);
+    ASSERT_TRUE(lease.valid()) << why.to_string();
+    Engine &engine = lease.engine();
+    const auto &steps = engine.steps();
+    const auto conv_step =
+        std::find_if(steps.begin(), steps.end(), [](const PlanStep &step) {
+            return step.op_type == op_names::kConv;
+        });
+    ASSERT_NE(conv_step, steps.end());
+    const auto conv = static_cast<std::size_t>(conv_step - steps.begin());
+
+    constexpr int kOpens = 20;
+    std::atomic<bool> done{false};
+    std::atomic<int> snapshots{0};
+    std::thread observer([&] {
+        while (!done.load()) {
+            EXPECT_EQ(pool.snapshot().front().breaker_opens, 0);
+            ++snapshots;
+        }
+    });
+    while (snapshots.load() == 0)
+        std::this_thread::yield();
+    for (int i = 0; i < kOpens; ++i) {
+        engine.demote_step(conv, "breaker opened while leased");
+        engine.restore_step(conv);
+    }
+    done = true;
+    observer.join();
+    EXPECT_EQ(pool.snapshot().front().breaker_opens, 0);
+
+    pool.release(std::move(lease), Status::ok());
+    EXPECT_EQ(pool.snapshot().front().breaker_opens, kOpens);
 }
 
 TEST(EnginePool, WarmSparePromotedWhenReplicaQuarantined)

@@ -4,8 +4,8 @@
  * circuit breaker, and recovery probes.
  *
  * The central property under test: with the guard enabled, a run whose
- * kernel produced corrupted data NEVER returns that data — it either
- * fails with kDataCorruption or serves the reference re-execution.
+ * kernel produced corrupted data NEVER returns that data — it fails
+ * with kDataCorruption.
  * All corruption here is injected deterministically (FaultInjector::
  * arm_corruption), so every breaker transition is reproducible.
  */
@@ -38,7 +38,6 @@ TEST(FloatScan, CleanTensorIsAllFinite)
     const Tensor t = Tensor::from_values(Shape({4}), {1.0f, -2.5f, 0.0f, 3e8f});
     const FloatScan scan = scan_floats(t);
     EXPECT_TRUE(scan.all_finite());
-    EXPECT_FLOAT_EQ(scan.max_abs, 3e8f);
     EXPECT_EQ(scan.first_non_finite, -1);
 }
 
@@ -60,7 +59,6 @@ TEST(FloatScan, DenormalsNegativeZeroAndExactZeroAreClean)
         Tensor::from_values(Shape({3}), {1e-42f, -0.0f, 0.0f});
     const FloatScan scan = scan_floats(t);
     EXPECT_TRUE(scan.all_finite());
-    EXPECT_FLOAT_EQ(scan.max_abs, 1e-42f);
 }
 
 TEST(FloatScan, NonFloatTensorsPassTrivially)
@@ -110,35 +108,15 @@ enabled_policy()
 TEST(ScanOutput, CleanOutputPasses)
 {
     const Tensor t = Tensor::from_values(Shape({3}), {1.0f, -1.0f, 0.5f});
-    EXPECT_TRUE(scan_output(t, enabled_policy()).ok());
+    EXPECT_TRUE(scan_output(t).ok());
 }
 
 TEST(ScanOutput, NaNTripsNonFinite)
 {
     const Tensor t = Tensor::from_values(Shape({3}), {1.0f, kQuietNaN, 2.0f});
-    const GuardVerdict verdict = scan_output(t, enabled_policy());
+    const GuardVerdict verdict = scan_output(t);
     EXPECT_EQ(verdict.trip, GuardTrip::kNonFinite);
     EXPECT_EQ(verdict.element_index, 1);
-}
-
-TEST(ScanOutput, NonFiniteCheckCanBeDisabled)
-{
-    GuardPolicy policy = enabled_policy();
-    policy.check_non_finite = false;
-    const Tensor t = Tensor::from_values(Shape({1}), {kInf});
-    EXPECT_TRUE(scan_output(t, policy).ok());
-}
-
-TEST(ScanOutput, MagnitudeLimitTripsOnFiniteBlowUp)
-{
-    GuardPolicy policy = enabled_policy();
-    policy.magnitude_limit = 1e6f;
-    const Tensor t = Tensor::from_values(Shape({2}), {3.0f, 1e30f});
-    const GuardVerdict verdict = scan_output(t, policy);
-    EXPECT_EQ(verdict.trip, GuardTrip::kMagnitude);
-    // Zero limit disables the check entirely.
-    policy.magnitude_limit = 0.0f;
-    EXPECT_TRUE(scan_output(t, policy).ok());
 }
 
 // --- compare_shadow -------------------------------------------------------
@@ -295,30 +273,6 @@ TEST(GuardedEngine, NaNCorruptionSurfacesAsDataCorruption)
     EXPECT_GE(engine.steps().front().health.trips_total, 1);
 }
 
-/** fail_on_corruption=false: the request succeeds and serves the
- *  reference re-execution, bitwise-identical to a reference-pinned
- *  engine — corrupted data still never escapes. */
-TEST(GuardedEngine, AvailabilityModeServesReferenceResult)
-{
-    EngineOptions options;
-    options.backend.forced_impl["MatMul"] = "minnl";
-    options.guard = enabled_policy();
-    options.guard.fail_on_corruption = false;
-    options.fault_injector = std::make_shared<FaultInjector>();
-    options.fault_injector->arm_corruption("", "minnl",
-                                           CorruptionKind::kNaNPoke);
-    Engine engine(matmul_graph(), options);
-
-    EngineOptions reference_options;
-    reference_options.backend.forced_impl["MatMul"] = "reference";
-    Engine reference(matmul_graph(), reference_options);
-
-    Tensor input = make_random(Shape({4, 8}), 0x6a06);
-    const Tensor guarded = engine.run(input);
-    EXPECT_EQ(max_abs_diff(guarded, reference.run(input)), 0.0f);
-    EXPECT_GE(engine.steps().front().health.trips_total, 1);
-}
-
 TEST(GuardedEngine, BreakerOpensAfterRepeatedTripsAndRoutesToReference)
 {
     auto injector = std::make_shared<FaultInjector>();
@@ -414,33 +368,6 @@ TEST(GuardedEngine, HalfOpenProbeRestoresFastKernelAfterCorruptionStops)
               0.0f);
 }
 
-TEST(GuardedEngine, AllowRecoveryFalseKeepsBreakerOpenForever)
-{
-    auto injector = std::make_shared<FaultInjector>();
-    EngineOptions options;
-    options.backend.forced_impl["Conv"] = "im2col_gemm";
-    options.guard = enabled_policy();
-    options.guard.cooldown_ms = 0;
-    options.guard.allow_recovery = false;
-    options.fault_injector = injector;
-    Engine engine(models::tiny_cnn(), options);
-
-    const std::size_t conv = first_step_of(engine, op_names::kConv);
-    injector->arm_corruption(engine.steps()[conv].node_name, "im2col_gemm",
-                             CorruptionKind::kNaNPoke, 0, 2);
-
-    Tensor input = make_random(Shape({1, 3, 8, 8}), 0x6a09);
-    std::map<std::string, Tensor> outputs;
-    for (int i = 0; i < 2; ++i)
-        engine.try_run({{"input", input}}, outputs);
-    ASSERT_EQ(engine.steps()[conv].health.state, BreakerState::kOpen);
-
-    // Even with an elapsed cool-down, no probe happens.
-    ASSERT_TRUE(engine.try_run({{"input", input}}, outputs).is_ok());
-    EXPECT_EQ(engine.steps()[conv].health.state, BreakerState::kOpen);
-    EXPECT_EQ(engine.steps()[conv].health.recoveries_total, 0);
-}
-
 /** A bit-flip is finite and plausible — only shadow execution sees it. */
 TEST(GuardedEngine, BitFlipIsInvisibleToScanButCaughtByShadow)
 {
@@ -473,24 +400,6 @@ TEST(GuardedEngine, BitFlipIsInvisibleToScanButCaughtByShadow)
     const Status status = shadowed.try_run({{"x", input}}, outputs);
     EXPECT_EQ(status.code(), StatusCode::kDataCorruption);
     EXPECT_GE(shadowed.steps().front().health.shadow_runs, 1);
-}
-
-TEST(GuardedEngine, MagnitudeSpikeCaughtByLimit)
-{
-    EngineOptions options;
-    options.backend.forced_impl["MatMul"] = "minnl";
-    options.guard = enabled_policy();
-    options.guard.magnitude_limit = 1e6f;
-    options.fault_injector = std::make_shared<FaultInjector>();
-    options.fault_injector->arm_corruption("", "minnl",
-                                           CorruptionKind::kMagnitudeSpike);
-    Engine engine(matmul_graph(), options);
-
-    std::map<std::string, Tensor> outputs;
-    const Status status =
-        engine.try_run({{"x", make_random(Shape({4, 8}), 0x6a0b)}},
-                       outputs);
-    EXPECT_EQ(status.code(), StatusCode::kDataCorruption);
 }
 
 /** A model that legitimately overflows to Inf on EVERY kernel must run
@@ -529,48 +438,26 @@ TEST(GuardedEngine, LegitimateAllInfOutputRunsGuarded)
 }
 
 /** Gemm has only the reference implementation: with no second opinion
- *  the policy decides whether to trust or flag the only kernel. */
-TEST(GuardedEngine, ReferenceOnlyKernelFollowsFlagPolicy)
+ *  the only kernel is the trusted root, and its output is served. */
+TEST(GuardedEngine, ReferenceOnlyKernelIsTrusted)
 {
-    const auto build = [](bool flag_reference_outputs) {
-        EngineOptions options;
-        // Keep the SIMD packed-GEMM tier out so Gemm really has a single
-        // implementation — the premise this test is about.
-        options.backend.allow_simd = false;
-        options.guard = enabled_policy();
-        options.guard.flag_reference_outputs = flag_reference_outputs;
-        options.fault_injector = std::make_shared<FaultInjector>();
-        return options;
-    };
+    EngineOptions options;
+    // Keep the SIMD packed-GEMM tier out so Gemm really has a single
+    // implementation — the premise this test is about.
+    options.backend.allow_simd = false;
+    options.guard = enabled_policy();
+    options.fault_injector = std::make_shared<FaultInjector>();
+    Engine engine(models::tiny_mlp(), options);
+    const std::size_t gemm = first_step_of(engine, op_names::kGemm);
+    ASSERT_TRUE(engine.steps()[gemm].reference_impl.empty())
+        << "test premise: Gemm must have no fallback";
+    options.fault_injector->arm_corruption(engine.steps()[gemm].node_name,
+                                           "", CorruptionKind::kNaNPoke);
 
+    // Its NaN output is served, exactly like an unguarded engine's.
     Tensor input = make_random(Shape({1, 32}), 0x6a0c);
     std::map<std::string, Tensor> outputs;
-
-    // Default: the only implementation is the trusted root; its NaN
-    // output is served (exactly like an unguarded reference engine).
-    {
-        EngineOptions options = build(false);
-        Engine engine(models::tiny_mlp(), options);
-        const std::size_t gemm = first_step_of(engine, op_names::kGemm);
-        ASSERT_TRUE(engine.steps()[gemm].reference_impl.empty())
-            << "test premise: Gemm must have no fallback";
-        options.fault_injector->arm_corruption(
-            engine.steps()[gemm].node_name, "",
-            CorruptionKind::kNaNPoke);
-        EXPECT_TRUE(engine.try_run({{"input", input}}, outputs).is_ok());
-    }
-
-    // Fail-stop deployments can flag even the reference kernel.
-    {
-        EngineOptions options = build(true);
-        Engine engine(models::tiny_mlp(), options);
-        const std::size_t gemm = first_step_of(engine, op_names::kGemm);
-        options.fault_injector->arm_corruption(
-            engine.steps()[gemm].node_name, "",
-            CorruptionKind::kNaNPoke);
-        EXPECT_EQ(engine.try_run({{"input", input}}, outputs).code(),
-                  StatusCode::kDataCorruption);
-    }
+    EXPECT_TRUE(engine.try_run({{"input", input}}, outputs).is_ok());
 }
 
 /** Kernel faults route through the same breaker in guard mode, so a

@@ -121,28 +121,23 @@ TEST(InferenceService, QueueSaturationReturnsResourceExhausted)
 
 TEST(InferenceService, MemoryBudgetRejectsOversizedRequestUpFront)
 {
-    ServiceOptions options;
-    options.memory_budget_bytes = 1; // Far below any real footprint.
-    InferenceService tight(models::tiny_cnn(), {}, options);
-    EXPECT_GT(tight.request_footprint_bytes(), 1u);
+    InferenceService service(models::tiny_cnn());
+    EXPECT_GT(service.request_footprint_bytes(), 1u);
 
-    const InferenceResponse response = tight.run(cnn_inputs(0x5e20));
+    // A budget far below any real footprint rejects at submit.
+    const InferenceResponse response =
+        service
+            .submit(cnn_inputs(0x5e20), DeadlineToken(), /*memory_budget=*/1)
+            .get();
     EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted);
-    EXPECT_EQ(tight.stats().rejected_memory, 1);
+    EXPECT_EQ(service.stats().rejected_memory, 1);
 
     // A generous budget admits the same request.
-    InferenceService roomy(models::tiny_cnn());
-    EXPECT_TRUE(roomy
+    EXPECT_TRUE(service
                     .submit(cnn_inputs(0x5e20), DeadlineToken(),
-                            /*memory_budget_bytes=*/1u << 30)
+                            /*memory_budget=*/1u << 30)
                     .get()
                     .status.is_ok());
-    // ... and a per-request override can still reject.
-    EXPECT_EQ(roomy.submit(cnn_inputs(0x5e20), DeadlineToken(),
-                           /*memory_budget_bytes=*/1)
-                  .get()
-                  .status.code(),
-              StatusCode::kResourceExhausted);
 }
 
 TEST(InferenceService, StoppedServiceRejectsSubmissions)
@@ -239,7 +234,6 @@ TEST(InferenceService, WatchdogCancelsHungStepAndDemotesBackend)
     ServiceOptions options;
     options.workers = 1;
     options.hang_threshold_ms = 50;
-    options.watchdog_poll_ms = 5;
 
     InferenceService service(models::tiny_cnn(), engine_options, options);
 
@@ -280,9 +274,9 @@ TEST(InferenceService, GuardStopsCorruptedRequestsThenBreakerRecoversService)
     engine_options.guard.open_after_trips = 2;
     engine_options.guard.cooldown_ms = 1e9; // Breaker stays open.
     engine_options.fault_injector = std::make_shared<FaultInjector>();
-    // Poison the first two im2col_gemm invocations; with
-    // fail_on_corruption the first two requests each die at the first
-    // conv, so exactly two requests observe corruption.
+    // Poison the first two im2col_gemm invocations; the first two
+    // requests each die at the first conv, so exactly two requests
+    // observe corruption.
     engine_options.fault_injector->arm_corruption(
         "", "im2col_gemm", CorruptionKind::kNaNPoke, 0, 2);
 
