@@ -54,6 +54,48 @@ options_for(const char *personality)
     return orpheus::personality_by_name(name).options;
 }
 
+/** Single-tensor marshalling shared by orpheus_engine_run and
+ *  orpheus_service_run (@p entry names the caller): checks the model's
+ *  I/O count and @p input's length, and copies it into @p inputs. */
+int
+marshal_input(const char *entry, const orpheus::Engine &engine,
+              const float *input, size_t input_len,
+              std::map<std::string, orpheus::Tensor> &inputs)
+{
+    if (engine.request_inputs().size() != 1 ||
+        engine.request_outputs().size() != 1) {
+        set_error(std::string(entry) +
+                  " requires a single-input, single-output model");
+        return ORPHEUS_ERR_INVALID_ARGUMENT;
+    }
+    const orpheus::ValueInfo &info = engine.request_inputs().front();
+    if (static_cast<size_t>(info.shape.numel()) != input_len) {
+        set_error("input has " + std::to_string(input_len) +
+                  " elements, model expects " +
+                  std::to_string(info.shape.numel()));
+        return ORPHEUS_ERR_INVALID_ARGUMENT;
+    }
+    orpheus::Tensor tensor(info.shape, orpheus::DataType::kFloat32);
+    std::memcpy(tensor.raw_data(), input, input_len * sizeof(float));
+    inputs.emplace(info.name, std::move(tensor));
+    return ORPHEUS_OK;
+}
+
+/** The other half: copies the one output into @p output. */
+int
+marshal_output(const orpheus::Tensor &result, float *output,
+               size_t output_len)
+{
+    if (static_cast<size_t>(result.numel()) != output_len) {
+        set_error("output buffer has " + std::to_string(output_len) +
+                  " elements, model produces " +
+                  std::to_string(result.numel()));
+        return ORPHEUS_ERR_BUFFER_TOO_SMALL;
+    }
+    std::memcpy(output, result.raw_data(), output_len * sizeof(float));
+    return ORPHEUS_OK;
+}
+
 const orpheus::ValueInfo *
 io_info(const orpheus_engine *engine, int index, bool input)
 {
@@ -218,33 +260,13 @@ orpheus_engine_run(orpheus_engine *engine, const float *input,
         return ORPHEUS_ERR_INVALID_ARGUMENT;
     }
     try {
-        const orpheus::Graph &graph = engine->impl.graph();
-        if (graph.inputs().size() != 1 || graph.outputs().size() != 1) {
-            set_error("orpheus_engine_run requires a single-input, "
-                      "single-output model");
-            return ORPHEUS_ERR_INVALID_ARGUMENT;
-        }
-        const orpheus::ValueInfo &in_info = graph.inputs().front();
-        if (static_cast<size_t>(in_info.shape.numel()) != input_len) {
-            set_error("input has " + std::to_string(input_len) +
-                      " elements, model expects " +
-                      std::to_string(in_info.shape.numel()));
-            return ORPHEUS_ERR_INVALID_ARGUMENT;
-        }
-
-        orpheus::Tensor in_tensor(in_info.shape, orpheus::DataType::kFloat32);
-        std::memcpy(in_tensor.raw_data(), input, input_len * sizeof(float));
-
-        const orpheus::Tensor result = engine->impl.run(in_tensor);
-        if (static_cast<size_t>(result.numel()) != output_len) {
-            set_error("output buffer has " + std::to_string(output_len) +
-                      " elements, model produces " +
-                      std::to_string(result.numel()));
-            return ORPHEUS_ERR_BUFFER_TOO_SMALL;
-        }
-        std::memcpy(output, result.raw_data(),
-                    output_len * sizeof(float));
-        return ORPHEUS_OK;
+        std::map<std::string, orpheus::Tensor> inputs;
+        const int code = marshal_input("orpheus_engine_run", engine->impl,
+                                       input, input_len, inputs);
+        if (code != ORPHEUS_OK)
+            return code;
+        return marshal_output(engine->impl.run(inputs).begin()->second,
+                              output, output_len);
     } catch (const orpheus::DeadlineExceededError &error) {
         set_error(error.what());
         return ORPHEUS_ERR_DEADLINE_EXCEEDED;
@@ -353,30 +375,17 @@ orpheus_service_run(orpheus_service *service, const float *input,
         return ORPHEUS_ERR_INVALID_ARGUMENT;
     }
     try {
-        const orpheus::Graph &graph = service->impl.engine().graph();
-        if (graph.inputs().size() != 1 || graph.outputs().size() != 1) {
-            set_error("orpheus_service_run requires a single-input, "
-                      "single-output model");
-            return ORPHEUS_ERR_INVALID_ARGUMENT;
-        }
-        const orpheus::ValueInfo &in_info = graph.inputs().front();
-        if (static_cast<size_t>(in_info.shape.numel()) != input_len) {
-            set_error("input has " + std::to_string(input_len) +
-                      " elements, model expects " +
-                      std::to_string(in_info.shape.numel()));
-            return ORPHEUS_ERR_INVALID_ARGUMENT;
-        }
-
-        orpheus::Tensor in_tensor(in_info.shape,
-                                  orpheus::DataType::kFloat32);
-        std::memcpy(in_tensor.raw_data(), input,
-                    input_len * sizeof(float));
-
+        std::map<std::string, orpheus::Tensor> inputs;
+        const int code =
+            marshal_input("orpheus_service_run", service->impl.engine(),
+                          input, input_len, inputs);
+        if (code != ORPHEUS_OK)
+            return code;
         orpheus::DeadlineToken token =
             deadline_ms > 0 ? orpheus::DeadlineToken::after_ms(deadline_ms)
                             : orpheus::DeadlineToken();
         const orpheus::InferenceResponse response = service->impl.run(
-            {{in_info.name, std::move(in_tensor)}}, std::move(token),
+            std::move(inputs), std::move(token),
             static_cast<orpheus::RequestPriority>(priority));
         if (retries != nullptr)
             *retries = response.retries;
@@ -384,17 +393,8 @@ orpheus_service_run(orpheus_service *service, const float *input,
             set_error(response.status.to_string());
             return orpheus::capi::to_c_code(response.status.code());
         }
-
-        const orpheus::Tensor &result = response.outputs.begin()->second;
-        if (static_cast<size_t>(result.numel()) != output_len) {
-            set_error("output buffer has " + std::to_string(output_len) +
-                      " elements, model produces " +
-                      std::to_string(result.numel()));
-            return ORPHEUS_ERR_BUFFER_TOO_SMALL;
-        }
-        std::memcpy(output, result.raw_data(),
-                    output_len * sizeof(float));
-        return ORPHEUS_OK;
+        return marshal_output(response.outputs.begin()->second, output,
+                              output_len);
     } catch (const std::exception &error) {
         set_error(error.what());
         return ORPHEUS_ERR_RUNTIME;

@@ -86,7 +86,16 @@ class FoldBatchNormPass : public GraphPass
         if (gamma.numel() != out_channels)
             return false;
 
-        Tensor new_weight = weight.clone();
+        // Scale the weight in place when nothing else can observe it:
+        // this conv is its only reader and no other Graph copy shares its
+        // buffer (EnginePool compiles replicas from copies, which would
+        // each scale the one weight again). Otherwise scale a clone.
+        const std::shared_ptr<Buffer> &storage = weight.buffer();
+        const bool in_place = graph.consumers(conv.input(1)).size() == 1 &&
+                              !graph.is_graph_output(conv.input(1)) &&
+                              storage.use_count() == 1 &&
+                              storage->owns_memory();
+        Tensor new_weight = in_place ? weight : weight.clone();
         Tensor new_bias(Shape({out_channels}), DataType::kFloat32);
 
         const float *g = gamma.data<float>();

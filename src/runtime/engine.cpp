@@ -66,50 +66,12 @@ Engine::compile()
             }
         }
     }
-    // Graph outputs that are directly an input or initializer (degenerate
-    // but legal) still need storage for run() to copy from.
-    for (const ValueInfo &output : graph_.outputs()) {
-        if (values_.count(output.name) == 0 &&
-            !graph_.has_initializer(output.name)) {
-            const ValueInfo &info = infos_.at(output.name);
-            values_.emplace(output.name, Tensor(info.shape, info.dtype));
-        }
-    }
 
-    // --- Batch gather/scatter plans ---------------------------------------
-    if (batch_capacity_ > 1) {
-        for (const auto &[name, base_dim0] : carrying_base_dim0_) {
-            auto it = values_.find(name);
-            if (it != values_.end())
-                batch_bindings_.push_back({&it->second, base_dim0});
-        }
-        for (const ValueInfo &input : request_inputs_) {
-            std::uint64_t bytes = 0;
-            ORPHEUS_CHECK(input.shape.checked_byte_size(
-                              dtype_size(input.dtype), bytes),
-                          "input " << input.name << " byte size overflows");
-            batch_inputs_.push_back(
-                {input.name, static_cast<std::size_t>(bytes)});
-        }
-        for (const ValueInfo &output : request_outputs_) {
-            BatchOutput out;
-            out.name = output.name;
-            out.carrying = carrying_base_dim0_.count(output.name) > 0;
-            if (out.carrying) {
-                const ValueInfo &info = infos_.at(output.name);
-                out.dtype = info.dtype;
-                out.base_shape = info.shape;
-                out.base_shape.set_dim(
-                    0, carrying_base_dim0_.at(output.name));
-                std::uint64_t bytes = 0;
-                ORPHEUS_CHECK(out.base_shape.checked_byte_size(
-                                  dtype_size(out.dtype), bytes),
-                              "output " << output.name
-                                        << " byte size overflows");
-                out.sample_bytes = static_cast<std::size_t>(bytes);
-            }
-            batch_outputs_.push_back(std::move(out));
-        }
+    // --- Batch bindings ---------------------------------------------------
+    for (const auto &[name, base_dim0] : carrying_base_dim0_) {
+        auto it = values_.find(name);
+        if (it != values_.end())
+            batch_bindings_.push_back({&it->second, base_dim0});
     }
 
     // --- Kernel selection + layer instantiation ---------------------------
@@ -137,8 +99,9 @@ Engine::compile()
         for (const std::string &out : node.outputs())
             init.output_infos.push_back(infos_.at(out));
 
-        SelectionResult selection = select_kernel(
-            registry, init, options_.selection, options_.autotune_runs);
+        SelectionResult selection =
+            select_kernel(registry, init, options_.selection,
+                          options_.autotune_runs, options_.prepare_kernels);
         if (!selection.measurements.empty())
             autotune_log_[node.name()] = selection.measurements;
 
@@ -698,31 +661,30 @@ std::map<std::string, Tensor>
 Engine::run(const std::map<std::string, Tensor> &inputs,
             const DeadlineToken &deadline)
 {
-    if (batch_capacity_ > 1) {
-        // A batched plan stages requests through the gather/scatter
-        // path even for one request, so the carrying tensors shrink to
-        // the true run shape.
-        auto results = run_batch({&inputs}, deadline);
-        return std::move(results.front());
-    }
-    validate_inputs(inputs).throw_if_error();
-    for (const ValueInfo &declared : graph_.inputs())
-        value_tensor(declared.name)->copy_from(inputs.at(declared.name));
-
-    execute_plan(deadline);
-
-    std::map<std::string, Tensor> outputs;
-    for (const ValueInfo &output : graph_.outputs()) {
-        const Tensor &source = graph_.has_initializer(output.name)
-                                   ? graph_.initializer(output.name)
-                                   : *value_tensor(output.name);
-        outputs.emplace(output.name, source.clone());
-    }
-    return outputs;
+    return std::move(run_batch({&inputs}, deadline).front());
 }
 
 std::vector<std::map<std::string, Tensor>>
 Engine::run_batch(
+    const std::vector<const std::map<std::string, Tensor> *> &requests,
+    const DeadlineToken &deadline)
+{
+    validate_requests(requests).throw_if_error();
+    return execute_batch(requests, deadline);
+}
+
+Status
+Engine::validate_requests(
+    const std::vector<const std::map<std::string, Tensor> *> &requests) const
+{
+    for (const auto *request : requests)
+        if (request != nullptr)
+            ORPHEUS_RETURN_IF_ERROR(validate_inputs(*request));
+    return Status::ok();
+}
+
+std::vector<std::map<std::string, Tensor>>
+Engine::execute_batch(
     const std::vector<const std::map<std::string, Tensor> *> &requests,
     const DeadlineToken &deadline)
 {
@@ -732,45 +694,46 @@ Engine::run_batch(
                   "run_batch of " << n << " requests exceeds capacity "
                                   << batch_capacity_ << " of graph "
                                   << graph_.name());
-    for (std::size_t r = 0; r < requests.size(); ++r) {
+    for (std::size_t r = 0; r < requests.size(); ++r)
         ORPHEUS_CHECK(requests[r] != nullptr,
                       "run_batch request " << r << " is null");
-        validate_inputs(*requests[r]).throw_if_error();
-    }
-    if (batch_capacity_ == 1) {
-        std::vector<std::map<std::string, Tensor>> results;
-        results.push_back(run(*requests.front(), deadline));
-        return results;
-    }
 
+    // Request r's inputs fill sample block r of each staged input and
+    // its outputs are copied out of block r of each output tensor; at
+    // capacity 1 the one block is the whole tensor.
     set_active_batch(n);
-    for (const BatchInput &input : batch_inputs_) {
-        char *dest =
-            static_cast<char *>(value_tensor(input.name)->raw_data());
-        for (std::size_t r = 0; r < requests.size(); ++r)
-            std::memcpy(dest + r * input.sample_bytes,
-                        requests[r]->at(input.name).raw_data(),
-                        input.sample_bytes);
+    const std::size_t count = requests.size();
+    for (const ValueInfo &declared : request_inputs_) {
+        Tensor &staged = *value_tensor(declared.name);
+        const std::size_t bytes = staged.byte_size() / count;
+        for (std::size_t r = 0; bytes > 0 && r < count; ++r)
+            std::memcpy(static_cast<char *>(staged.raw_data()) + r * bytes,
+                        requests[r]->at(declared.name).raw_data(), bytes);
     }
 
     execute_plan(deadline);
 
-    std::vector<std::map<std::string, Tensor>> results(requests.size());
-    for (const BatchOutput &output : batch_outputs_) {
-        if (!output.carrying) {
-            const Tensor &source = graph_.initializer(output.name);
-            for (std::size_t r = 0; r < requests.size(); ++r)
-                results[r].emplace(output.name, source.clone());
+    std::vector<std::map<std::string, Tensor>> results(count);
+    for (const ValueInfo &declared : request_outputs_) {
+        if (graph_.has_initializer(declared.name)) {
+            for (std::map<std::string, Tensor> &result : results)
+                result.emplace(declared.name,
+                               graph_.initializer(declared.name).clone());
             continue;
         }
-        const char *source = static_cast<const char *>(
-            value_tensor(output.name)->raw_data());
-        for (std::size_t r = 0; r < requests.size(); ++r) {
-            Tensor slice(output.base_shape, output.dtype);
-            std::memcpy(slice.raw_data(),
-                        source + r * output.sample_bytes,
-                        output.sample_bytes);
-            results[r].emplace(output.name, std::move(slice));
+        const Tensor &source = *value_tensor(declared.name);
+        Shape shape = source.shape();
+        if (shape.rank() >= 1)
+            shape.set_dim(0, shape.dim(0) / n);
+        const std::size_t bytes = source.byte_size() / count;
+        for (std::size_t r = 0; r < count; ++r) {
+            Tensor slice(shape, source.dtype());
+            if (bytes > 0)
+                std::memcpy(slice.raw_data(),
+                            static_cast<const char *>(source.raw_data()) +
+                                r * bytes,
+                            bytes);
+            results[r].emplace(declared.name, std::move(slice));
         }
     }
     return results;
@@ -782,11 +745,9 @@ Engine::try_run_batch(
     std::vector<std::map<std::string, Tensor>> &outputs,
     const DeadlineToken &deadline)
 {
-    for (const auto *request : requests)
-        if (request != nullptr)
-            ORPHEUS_RETURN_IF_ERROR(validate_inputs(*request));
+    ORPHEUS_RETURN_IF_ERROR(validate_requests(requests));
     try {
-        outputs = run_batch(requests, deadline);
+        outputs = execute_batch(requests, deadline);
         return Status::ok();
     } catch (const DeadlineExceededError &error) {
         return deadline_exceeded_error(error.what());

@@ -10,9 +10,9 @@
  *   4. select one kernel implementation per node (heuristic, pinned or
  *      auto-tuned) and instantiate its Layer.
  *
- * run() then walks the plan copying nothing but the user's inputs and
- * the requested outputs, and accumulates every step's wall-clock time in
- * its PlanStep (always on: one clock read per step boundary).
+ * run_batch() (run() is a batch of one) then walks the plan copying
+ * nothing but the requests' inputs and outputs, and accumulates every
+ * step's wall-clock time in its PlanStep (always on: one clock read per step boundary).
  */
 #pragma once
 
@@ -175,10 +175,11 @@ class Engine
     // --- Execution --------------------------------------------------------
 
     /**
-     * Runs one inference. @p inputs must provide a tensor of the
-     * declared shape and dtype for every graph input (validated up
-     * front; a mismatch throws orpheus::Error naming the offending
-     * input); returns one tensor (a private copy) per graph output.
+     * Runs one inference as a run_batch() of one. @p inputs must
+     * provide a tensor of the declared shape and dtype for every graph
+     * input (validated up front; a mismatch throws orpheus::Error
+     * naming the offending input); returns one tensor (a private copy)
+     * per graph output.
      *
      * @p deadline, when valid, is checked at every plan-step boundary
      * and threaded into parallel kernels, which cancel cooperatively at
@@ -194,8 +195,8 @@ class Engine
 
     /**
      * Non-throwing variant of run() for API boundaries that must not
-     * propagate exceptions: input-validation failures surface as
-     * kInvalidArgument, an expired deadline or cancelled request as
+     * propagate exceptions (a try_run_batch() of one): input-validation
+     * failures surface as kInvalidArgument, an expired deadline or cancelled request as
      * kDeadlineExceeded, a confirmed guard trip as kDataCorruption,
      * kernel failures that exhaust the fallback policy as kInternal.
      * @p outputs is assigned only on success.
@@ -207,14 +208,15 @@ class Engine
     /**
      * Runs @p requests (1 ≤ n ≤ batch_capacity()) fused into a single
      * pass over the plan: request r's inputs are gathered into sample
-     * block r of each batch-carrying input tensor, the plan executes
-     * once at active batch n, and each request's outputs are scattered
-     * back as private per-request copies in its declared (per-request)
-     * shapes. Per-sample kernels make the fused result bitwise
-     * identical to n sequential run() calls. Requests are validated
-     * against the per-request signature up front. Throws like run();
-     * a failure is reported for the batch as a whole (callers split
-     * and re-dispatch to attribute it).
+     * block r of each input tensor, the plan executes once at active
+     * batch n, and each request's outputs are scattered back as
+     * private per-request copies in its declared (per-request) shapes.
+     * At capacity 1 the one sample block is the whole tensor. Per-sample
+     * kernels make the fused result bitwise identical to n sequential
+     * run() calls. Each request is validated once, up front, against
+     * the per-request signature. Throws like run(); a failure is
+     * reported for the batch as a whole (callers split and re-dispatch
+     * to attribute it).
      */
     std::vector<std::map<std::string, Tensor>>
     run_batch(const std::vector<const std::map<std::string, Tensor> *>
@@ -377,13 +379,25 @@ class Engine
      */
     void attempt_batch_rewrite();
 
+    /** validate_inputs() of every non-null request. */
+    Status validate_requests(
+        const std::vector<const std::map<std::string, Tensor> *>
+            &requests) const;
+
+    /** The run path of run_batch()/try_run_batch() after validation:
+     *  gather, execute_plan() at active batch n, scatter. */
+    std::vector<std::map<std::string, Tensor>>
+    execute_batch(const std::vector<const std::map<std::string, Tensor> *>
+                      &requests,
+                  const DeadlineToken &deadline);
+
     /** Shrinks/expands every batch-carrying tensor's leading extent to
      *  @p n times its per-request extent (storage is planned at
      *  batch_capacity_, so any n ≤ capacity fits in place). */
     void set_active_batch(std::int64_t n);
 
-    /** The monitor-wrapped, timed step loop shared by run() and
-     *  run_batch() (inputs already staged in values_). */
+    /** The monitor-wrapped, timed step loop of execute_batch()
+     *  (inputs already staged in values_). */
     void execute_plan(const DeadlineToken &deadline);
 
     /**
@@ -461,21 +475,6 @@ class Engine
         std::int64_t base_dim0;
     };
     std::vector<BatchBinding> batch_bindings_;
-    /** Gather plan: one entry per declared input (all carrying). */
-    struct BatchInput {
-        std::string name;
-        std::size_t sample_bytes;
-    };
-    std::vector<BatchInput> batch_inputs_;
-    /** Scatter plan: one entry per declared output. */
-    struct BatchOutput {
-        std::string name;
-        bool carrying;
-        Shape base_shape;
-        DataType dtype = DataType::kFloat32;
-        std::size_t sample_bytes = 0;
-    };
-    std::vector<BatchOutput> batch_outputs_;
 
     std::shared_ptr<Buffer> arena_;
     /** Kernel workspace segment shared by all plan steps (steps run

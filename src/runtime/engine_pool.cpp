@@ -173,12 +173,7 @@ EnginePool::acquire(const DeadlineToken &deadline,
         // stands aside so the next freed replica goes to it first.
         if (priority == LeasePriority::kNormal && rt_waiters_ > 0 &&
             count_in_rotation_locked() > 0) {
-            if (deadline.has_deadline())
-                replica_free_.wait_for(
-                    lock, std::chrono::duration<double, std::milli>(
-                              std::max(deadline.remaining_ms(), 0.0)));
-            else
-                replica_free_.wait(lock);
+            wait_for_release(lock, deadline);
             continue;
         }
 
@@ -232,14 +227,7 @@ EnginePool::acquire(const DeadlineToken &deadline,
             // them until the line clears.
             if (priority == LeasePriority::kRealtime)
                 ++rt_waiters_;
-            if (deadline.has_deadline()) {
-                const double remaining = deadline.remaining_ms();
-                replica_free_.wait_for(
-                    lock, std::chrono::duration<double, std::milli>(
-                              std::max(remaining, 0.0)));
-            } else {
-                replica_free_.wait(lock);
-            }
+            wait_for_release(lock, deadline);
             if (priority == LeasePriority::kRealtime &&
                 --rt_waiters_ == 0)
                 replica_free_.notify_all();
@@ -262,8 +250,9 @@ EnginePool::acquire(const DeadlineToken &deadline,
         }
         if (candidate == kNoReplica) {
             // Quarantined replicas exist but are all mid-probe on other
-            // threads; wait for a verdict.
-            replica_free_.wait(lock);
+            // threads; wait for a verdict, but no longer than the
+            // deadline allows.
+            wait_for_release(lock, deadline);
             continue;
         }
 
@@ -341,12 +330,7 @@ EnginePool::acquire_specific(std::size_t replica,
             ++stats_.acquires;
             return Lease(this, replica, target.engine.get());
         }
-        if (deadline.has_deadline())
-            replica_free_.wait_for(
-                lock, std::chrono::duration<double, std::milli>(
-                          std::max(deadline.remaining_ms(), 0.0)));
-        else
-            replica_free_.wait(lock);
+        wait_for_release(lock, deadline);
     }
 }
 
@@ -381,12 +365,7 @@ EnginePool::swap_replica(std::size_t id, std::unique_ptr<Engine> engine,
                     std::to_string(id) + " was still leased");
             return nullptr;
         }
-        if (drain_deadline.has_deadline())
-            replica_free_.wait_for(
-                lock, std::chrono::duration<double, std::milli>(
-                          std::max(drain_deadline.remaining_ms(), 0.0)));
-        else
-            replica_free_.wait(lock);
+        wait_for_release(lock, drain_deadline);
     }
 
     std::unique_ptr<Engine> displaced = std::move(replica.engine);
@@ -567,6 +546,18 @@ EnginePool::release(Lease lease, const Status &outcome, double run_ms,
         promote_spare_locked();
     }
     unlease_locked(id);
+}
+
+void
+EnginePool::wait_for_release(std::unique_lock<std::mutex> &lock,
+                             const DeadlineToken &deadline)
+{
+    if (deadline.has_deadline())
+        replica_free_.wait_for(lock,
+                               std::chrono::duration<double, std::milli>(
+                                   std::max(deadline.remaining_ms(), 0.0)));
+    else
+        replica_free_.wait(lock);
 }
 
 void

@@ -423,6 +423,11 @@ class EnginePool
      *  count while the engine is quiescent. Caller holds mutex_. */
     void unlease_locked(std::size_t id);
 
+    /** Waits on @p lock for a replica to be released (or a probe
+     *  verdict), no longer than @p deadline's remaining budget. */
+    void wait_for_release(std::unique_lock<std::mutex> &lock,
+                          const DeadlineToken &deadline);
+
     std::size_t count_in_rotation_locked() const;
 
     EnginePoolOptions options_;

@@ -9,12 +9,22 @@ namespace orpheus {
 
 namespace {
 
-/** Times one candidate on synthetic activations + real constants. */
+/** Times one candidate on synthetic activations + real constants,
+ *  prepared and bound to a private workspace when @p prepare (as
+ *  Engine::prepare_layer and bind_workspace_all leave the winner). */
 double
 measure_candidate(const KernelRegistry &registry, const KernelDef &def,
-                  const LayerInit &init, int runs)
+                  const LayerInit &init, int runs, bool prepare)
 {
     std::unique_ptr<Layer> layer = registry.instantiate(def, init);
+    std::shared_ptr<Buffer> workspace;
+    if (prepare) {
+        PlanContext ctx;
+        layer->prepare(ctx);
+        workspace = Buffer::allocate(ctx.workspace_bytes());
+        layer->bind_workspace(
+            Workspace(workspace->data(), workspace->size()));
+    }
 
     // Build the invocation tensors: real constants where available,
     // random activations elsewhere, fresh outputs.
@@ -68,7 +78,7 @@ to_string(SelectionStrategy strategy)
 
 SelectionResult
 select_kernel(const KernelRegistry &registry, const LayerInit &init,
-              SelectionStrategy strategy, int autotune_runs)
+              SelectionStrategy strategy, int autotune_runs, bool prepare)
 {
     const Node &node = *init.node;
     const BackendConfig &config = *init.config;
@@ -114,7 +124,7 @@ select_kernel(const KernelRegistry &registry, const LayerInit &init,
     double best = std::numeric_limits<double>::infinity();
     for (const KernelDef *def : candidates) {
         const double ms =
-            measure_candidate(registry, *def, init, autotune_runs);
+            measure_candidate(registry, *def, init, autotune_runs, prepare);
         result.measurements.emplace_back(def->impl_name, ms);
         if (ms < best) {
             best = ms;

@@ -41,12 +41,14 @@ struct SelectionResult {
  * Selects the kernel for @p init. Throws orpheus::Error if no registered
  * kernel supports the node, or a pinned implementation is missing or
  * unsupported. @p autotune_runs is the number of timed repetitions per
- * candidate (after one warm-up) when auto-tuning.
+ * candidate (after one warm-up) when auto-tuning. With @p prepare each
+ * candidate is timed the way the engine runs it: prepared, with its
+ * workspace bound (EngineOptions::prepare_kernels).
  */
 SelectionResult select_kernel(const KernelRegistry &registry,
                               const LayerInit &init,
                               SelectionStrategy strategy,
-                              int autotune_runs = 3);
+                              int autotune_runs = 3, bool prepare = true);
 
 /**
  * The reference (fallback) kernel for @p init: the lowest-priority

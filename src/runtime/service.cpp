@@ -349,7 +349,7 @@ InferenceService::worker_loop(std::size_t worker)
         }
 
         std::vector<InferenceResponse> responses(batch.size());
-        dispatch_batch(lane, batch, responses, rng);
+        dispatch_batch(batch, responses, rng);
 
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -446,8 +446,7 @@ InferenceService::assemble_batch_locked(std::unique_lock<std::mutex> &lock,
 }
 
 void
-InferenceService::dispatch_batch(std::size_t lane,
-                                 std::vector<Request> &batch,
+InferenceService::dispatch_batch(const std::vector<Request> &batch,
                                  std::vector<InferenceResponse> &responses,
                                  std::minstd_rand &rng)
 {
@@ -468,89 +467,99 @@ InferenceService::dispatch_batch(std::size_t lane,
         else
             live.push_back(i);
     }
-    if (live.empty())
-        return;
-    if (live.size() == 1) {
-        dispatch_with_retries(batch[live.front()],
-                              responses[live.front()], rng);
-        return;
-    }
 
-    for (std::size_t i : live)
-        responses[i].batch_size = static_cast<int>(live.size());
-
-    // The fused run may take as long as its most patient member
-    // allows; each member is still judged against its own token once
-    // the run returns.
-    DeadlineToken fused = DeadlineToken::unlimited();
-    bool bounded = true;
-    std::chrono::steady_clock::time_point latest{};
-    for (std::size_t i : live) {
-        const auto point = batch[i].token.deadline_point();
-        if (!point.has_value()) {
-            bounded = false;
-            break;
-        }
-        latest = std::max(latest, *point);
-    }
-    if (bounded)
-        fused = DeadlineToken::at(latest);
-
-    const LeasePriority lease_priority =
-        lane == priority_index(RequestPriority::kRealtime)
-            ? LeasePriority::kRealtime
-            : LeasePriority::kNormal;
-    Status why = internal_error("pool acquire failed");
-    EnginePool::Lease lease = pool_->acquire(fused, EnginePool::kNoReplica,
-                                             &why, lease_priority);
-    if (!lease.valid()) {
+    // Two or more live members first run fused. A fused run has a
+    // single verdict, so a failed one (guard/breaker fault, watchdog
+    // cancellation, deadline) splits: every live member then takes the
+    // solo path below on its own token, skipping the replica that
+    // failed. Only this batch pays; co-queued requests in other batches
+    // are untouched. The re-dispatch is a fresh solo dispatch, not a
+    // retry: it is not charged to the retry bucket.
+    std::size_t failed_replica = EnginePool::kNoReplica;
+    if (live.size() > 1) {
         for (std::size_t i : live)
-            responses[i].status = why;
-        return;
-    }
-    const std::size_t replica = lease.replica_id();
-    std::vector<const std::map<std::string, Tensor> *> request_inputs;
-    request_inputs.reserve(live.size());
-    for (std::size_t i : live)
-        request_inputs.push_back(&batch[i].inputs);
-    std::vector<std::map<std::string, Tensor>> outputs;
-    const auto started = std::chrono::steady_clock::now();
-    const Status status =
-        lease.engine().try_run_batch(request_inputs, outputs, fused);
-    const double attempt_ms = elapsed_ms_since(started);
-    for (std::size_t i : live)
-        responses[i].run_ms += attempt_ms;
-    pool_->release(std::move(lease), status, attempt_ms,
-                   static_cast<std::int64_t>(live.size()));
-
-    if (status.is_ok()) {
-        for (std::size_t k = 0; k < live.size(); ++k) {
-            responses[live[k]].status = Status::ok();
-            responses[live[k]].outputs = std::move(outputs[k]);
+            responses[i].batch_size = static_cast<int>(live.size());
+        // The fused run may take as long as its most patient member
+        // allows; each member is still judged against its own token
+        // once the run returns.
+        DeadlineToken fused = DeadlineToken::unlimited();
+        bool bounded = true;
+        std::chrono::steady_clock::time_point latest{};
+        for (std::size_t i : live) {
+            const auto point = batch[i].token.deadline_point();
+            if (!point.has_value()) {
+                bounded = false;
+                break;
+            }
+            latest = std::max(latest, *point);
         }
-        return;
+        if (bounded)
+            fused = DeadlineToken::at(latest);
+
+        const Status status =
+            run_attempt(batch, responses, live, fused, failed_replica);
+        // A failed acquire ran nothing: there is nothing to split.
+        if (status.is_ok() || failed_replica == EnginePool::kNoReplica) {
+            for (std::size_t i : live)
+                responses[i].status = status;
+            return;
+        }
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.batch_splits;
+        }
+        for (std::size_t i : live)
+            responses[i].batch_split = true;
     }
 
-    // Mid-batch failure (guard/breaker fault, watchdog cancellation,
-    // deadline): a fused run has a single verdict, so attribution
-    // falls back to splitting — every live member re-dispatches
-    // individually on its own token, skipping the replica that
-    // failed. Only this batch pays; co-queued requests in other
-    // batches are untouched. The re-dispatch is a fresh solo
-    // dispatch, not a retry: it is not charged to the retry bucket.
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.batch_splits;
-    }
     for (std::size_t i : live) {
-        responses[i].batch_split = true;
-        if (batch[i].token.expired()) {
+        if (responses[i].batch_split && batch[i].token.expired()) {
             responses[i].status = deadline_exceeded_error(
                 "deadline expired in a failed fused run");
             continue;
         }
-        dispatch_with_retries(batch[i], responses[i], rng, replica);
+        dispatch_with_retries(batch, responses, i, rng, failed_replica);
     }
+}
+
+Status
+InferenceService::run_attempt(const std::vector<Request> &batch,
+                              std::vector<InferenceResponse> &responses,
+                              const std::vector<std::size_t> &members,
+                              const DeadlineToken &token,
+                              std::size_t &replica)
+{
+    const LeasePriority lease_priority =
+        batch[members.front()].priority == RequestPriority::kRealtime
+            ? LeasePriority::kRealtime
+            : LeasePriority::kNormal;
+    Status why = internal_error("pool acquire failed");
+    EnginePool::Lease lease =
+        pool_->acquire(token, replica, &why, lease_priority);
+    replica = EnginePool::kNoReplica;
+    if (!lease.valid())
+        return why;
+    replica = lease.replica_id();
+
+    std::vector<const std::map<std::string, Tensor> *> inputs;
+    inputs.reserve(members.size());
+    for (std::size_t i : members)
+        inputs.push_back(&batch[i].inputs);
+    std::vector<std::map<std::string, Tensor>> outputs;
+    const auto started = std::chrono::steady_clock::now();
+    const Status status =
+        lease.engine().try_run_batch(inputs, outputs, token);
+    const double attempt_ms = elapsed_ms_since(started);
+    pool_->release(std::move(lease), status, attempt_ms,
+                   static_cast<std::int64_t>(members.size()));
+
+    for (std::size_t k = 0; k < members.size(); ++k) {
+        InferenceResponse &response = responses[members[k]];
+        response.run_ms += attempt_ms;
+        if (status.is_ok())
+            response.outputs = std::move(outputs[k]);
+    }
+    return status;
 }
 
 void
@@ -583,38 +592,26 @@ InferenceService::finish_request_locked(std::size_t lane,
 }
 
 void
-InferenceService::dispatch_with_retries(Request &request,
-                                        InferenceResponse &response,
+InferenceService::dispatch_with_retries(const std::vector<Request> &batch,
+                                        std::vector<InferenceResponse>
+                                            &responses,
+                                        std::size_t index,
                                         std::minstd_rand &rng,
                                         std::size_t exclude_replica)
 {
+    const Request &request = batch[index];
+    InferenceResponse &response = responses[index];
     DeadlineToken token = request.token;
     const auto wall_deadline = token.deadline_point();
-    std::size_t last_replica = exclude_replica;
     const bool realtime =
         request.priority == RequestPriority::kRealtime;
-    const LeasePriority lease_priority = realtime
-                                             ? LeasePriority::kRealtime
-                                             : LeasePriority::kNormal;
+    std::size_t replica = exclude_replica;
     int attempt = 0;
 
     for (;;) {
-        Status why = internal_error("pool acquire failed");
-        EnginePool::Lease lease =
-            pool_->acquire(token, last_replica, &why, lease_priority);
-        if (!lease.valid()) {
-            response.status = std::move(why);
-            return;
-        }
-        const std::size_t replica = lease.replica_id();
-        const auto started = std::chrono::steady_clock::now();
         response.status =
-            lease.engine().try_run(request.inputs, response.outputs, token);
-        const double attempt_ms = elapsed_ms_since(started);
-        response.run_ms += attempt_ms;
-        pool_->release(std::move(lease), response.status, attempt_ms);
-
-        if (response.status.is_ok())
+            run_attempt(batch, responses, {index}, token, replica);
+        if (response.status.is_ok() || replica == EnginePool::kNoReplica)
             return;
 
         bool retryable = is_retryable(response.status);
@@ -667,7 +664,6 @@ InferenceService::dispatch_with_retries(Request &request,
         }
         ++attempt;
         ++response.retries;
-        last_replica = replica;
     }
 }
 

@@ -470,22 +470,30 @@ class InferenceService
                                std::vector<Request> &batch);
     /** Dispatches an assembled batch: stamps queue_ms (including any
      *  window wait), fails already-expired members individually, runs
-     *  a single live member through the normal retry path, and runs
-     *  two or more fused — on a mid-batch failure the batch splits
-     *  and every live member re-dispatches individually, skipping the
+     *  two or more live members fused (one run_attempt(), no retry) —
+     *  on a mid-batch failure the batch splits — and sends every
+     *  member not yet served to dispatch_with_retries(), skipping the
      *  replica that failed. */
-    void dispatch_batch(std::size_t lane, std::vector<Request> &batch,
+    void dispatch_batch(const std::vector<Request> &batch,
                         std::vector<InferenceResponse> &responses,
                         std::minstd_rand &rng);
-    /** Runs @p request with failover + bounded backoff retries.
-     *  @p exclude_replica is avoided on the first acquire (used when
-     *  re-dispatching members of a failed batch away from the replica
-     *  that failed). */
-    void dispatch_with_retries(Request &request,
-                               InferenceResponse &response,
-                               std::minstd_rand &rng,
+    /** Runs member @p index of @p batch solo on its own token, with
+     *  failover + bounded backoff retries (each a run_attempt() of one).
+     *  @p exclude_replica is avoided on the first acquire. */
+    void dispatch_with_retries(const std::vector<Request> &batch,
+                               std::vector<InferenceResponse> &responses,
+                               std::size_t index, std::minstd_rand &rng,
                                std::size_t exclude_replica =
                                    EnginePool::kNoReplica);
+    /** The one acquire → try_run_batch → release: runs @p members
+     *  (n ≥ 1) of @p batch on @p token, avoiding @p replica, adds the
+     *  run time to each member's run_ms and moves outputs in on
+     *  success. @p replica becomes the replica that ran (kNoReplica if
+     *  the acquire failed). */
+    Status run_attempt(const std::vector<Request> &batch,
+                       std::vector<InferenceResponse> &responses,
+                       const std::vector<std::size_t> &members,
+                       const DeadlineToken &token, std::size_t &replica);
     /** Completion accounting for one finished request (status
      *  counters, per-class histograms, retry-token earn, in_flight_).
      *  Caller holds mutex_. */

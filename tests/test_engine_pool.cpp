@@ -435,6 +435,68 @@ TEST(EnginePool, AllReplicasQuarantinedFailsFastNotHang)
     EXPECT_GE(pool.stats().probe_failures, 1);
 }
 
+/** An acquirer that finds the only quarantined replica mid-probe on
+ *  another thread waits for the verdict no longer than its own
+ *  deadline allows. */
+TEST(EnginePool, AcquireDuringOtherThreadsProbeHonoursDeadline)
+{
+    set_global_num_threads(1);
+    EngineOptions engine_options;
+    engine_options.fault_injector = std::make_shared<FaultInjector>();
+    engine_options.fault_injector->arm("", "", /*fail_from_call=*/0,
+                                       /*max_faults=*/2);
+
+    EnginePoolOptions pool_options;
+    pool_options.replicas = 1;
+    pool_options.quarantine_threshold = 1.0;
+    EnginePool pool(models::tiny_cnn(), engine_options, pool_options);
+
+    Status why;
+    EnginePool::Lease lease = pool.acquire(DeadlineToken::after_ms(5000),
+                                           EnginePool::kNoReplica, &why);
+    ASSERT_TRUE(lease.valid()) << why.to_string();
+    std::map<std::string, Tensor> outputs;
+    const Status failed =
+        lease.engine().try_run(cnn_inputs(0x9a3), outputs);
+    ASSERT_EQ(failed.code(), StatusCode::kInternal);
+    pool.release(std::move(lease), failed);
+    ASSERT_EQ(pool.stats().quarantined_replicas, 1u);
+
+    // The readmission probe's first step stalls for 300 ms.
+    engine_options.fault_injector->arm_delay("", "", /*delay_ms=*/300.0,
+                                             /*delay_from_call=*/0,
+                                             /*max_delays=*/1);
+    std::atomic<bool> probe_done{false};
+    std::thread prober([&] {
+        Status prober_why;
+        EnginePool::Lease revived = pool.acquire(
+            DeadlineToken::after_ms(5000), EnginePool::kNoReplica,
+            &prober_why);
+        probe_done = true;
+        EXPECT_TRUE(revived.valid()) << prober_why.to_string();
+        pool.release(std::move(revived), Status::ok());
+    });
+    while (pool.stats().probes == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    const auto started = std::chrono::steady_clock::now();
+    EnginePool::Lease waiter = pool.acquire(DeadlineToken::after_ms(20),
+                                            EnginePool::kNoReplica, &why);
+    const double waited_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - started)
+            .count();
+    const bool probe_was_done = probe_done.load();
+    prober.join();
+
+    EXPECT_FALSE(waiter.valid());
+    EXPECT_EQ(why.code(), StatusCode::kDeadlineExceeded) << why.to_string();
+    EXPECT_FALSE(probe_was_done)
+        << "acquire waited out the other thread's probe (" << waited_ms
+        << " ms) instead of its 20 ms deadline";
+    EXPECT_EQ(pool.stats().readmissions, 1);
+}
+
 /** An unguarded engine returns OK on a model that emits NaN, so the
  *  readmission probe itself must check the outputs are finite. */
 TEST(EnginePool, ReadmissionProbeRefusesNonFiniteOutputs)

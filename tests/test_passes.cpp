@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "models/builder.hpp"
 #include "runtime/engine.hpp"
 #include "test_util.hpp"
@@ -102,6 +104,58 @@ TEST(FoldBatchNorm, FoldsIntoConvAndPreservesNumerics)
     }
 
     expect_equivalent_after_simplification(std::move(graph));
+}
+
+/** A conv+BN graph whose weights are fixed by the builder seed. */
+Graph
+conv_bn_graph()
+{
+    GraphBuilder b("g", 0xbd);
+    std::string x = b.input("input", Shape({1, 3, 8, 8}));
+    b.output(b.batchnorm(b.conv_k(x, 8, 3, 1, 1)));
+    return b.take();
+}
+
+/** The weight initializer of the graph's only Conv. */
+const Tensor &
+conv_weight(const Graph &graph)
+{
+    for (const Node &node : graph.nodes())
+        if (node.op_type() == op_names::kConv)
+            return graph.initializer(node.input(1));
+    throw Error("graph has no Conv");
+}
+
+TEST(FoldBatchNorm, ScalesOnlyUnsharedWeightsInPlace)
+{
+    // Two Graph copies share initializer buffers: folding one must not
+    // touch the other's weight.
+    Graph folded = conv_bn_graph();
+    Graph shared = folded;
+    const Tensor shared_weight = conv_weight(shared).clone();
+    simplify_graph(folded);
+    const Tensor &untouched = conv_weight(shared);
+    ASSERT_EQ(untouched.byte_size(), shared_weight.byte_size());
+    EXPECT_EQ(std::memcmp(untouched.raw_data(), shared_weight.raw_data(),
+                          untouched.byte_size()),
+              0);
+
+    // ...and compiles to the same bits as a copy that never shared.
+    Engine from_shared(std::move(shared));
+    Engine unshared(conv_bn_graph());
+    const Tensor input = make_random(Shape({1, 3, 8, 8}), 0xbe);
+    const Tensor expected = unshared.run(input);
+    const Tensor actual = from_shared.run(input);
+    ASSERT_EQ(actual.byte_size(), expected.byte_size());
+    EXPECT_EQ(std::memcmp(actual.raw_data(), expected.raw_data(),
+                          actual.byte_size()),
+              0);
+
+    // A weight nothing else references is scaled where it lies.
+    Graph sole = conv_bn_graph();
+    const void *storage = conv_weight(sole).raw_data();
+    simplify_graph(sole);
+    EXPECT_EQ(conv_weight(sole).raw_data(), storage);
 }
 
 TEST(FoldBatchNorm, LeavesBnWithMultipleConsumersOfConv)

@@ -131,6 +131,74 @@ TEST(Selection, AutoTuneProducesSameNumericsAsHeuristic)
     expect_close(tuned.run(input), heuristic.run(input), 1e-3f, 1e-3f);
 }
 
+/** A Relu kernel that refuses to run unprepared or without a bound
+ *  workspace, as a kernel with plan-time packs and scratch would. */
+class PreparedOnlyRelu : public Layer
+{
+  public:
+    void
+    prepare(PlanContext &ctx) override
+    {
+        scratch_ = ctx.reserve(64);
+        prepared_ = true;
+    }
+
+    void
+    bind_workspace(const Workspace &workspace) override
+    {
+        workspace_ = workspace;
+    }
+
+    void
+    forward(const std::vector<const Tensor *> &inputs,
+            const std::vector<Tensor *> &outputs) override
+    {
+        ORPHEUS_CHECK(prepared_ && workspace_.at<float>(scratch_) != nullptr,
+                      "forward before prepare() and bind_workspace()");
+        const float *in = inputs[0]->data<float>();
+        float *out = outputs[0]->data<float>();
+        for (std::int64_t i = 0; i < inputs[0]->numel(); ++i)
+            out[i] = in[i] > 0.0f ? in[i] : 0.0f;
+    }
+
+  private:
+    bool prepared_ = false;
+    std::size_t scratch_ = 0;
+    Workspace workspace_;
+};
+
+TEST(Selection, AutoTuneTimesPreparedCandidates)
+{
+    const std::string node_name = "autotune_prepared_only_relu";
+    KernelRegistry::instance().add(
+        {op_names::kRelu, "prepared_only", -100,
+         [node_name](const LayerInit &init) {
+             return init.node->name() == node_name;
+         },
+         [](const LayerInit &) {
+             return std::make_unique<PreparedOnlyRelu>();
+         }});
+
+    Graph graph("prepared_only");
+    graph.add_input("x", Shape({1, 16}));
+    graph.add_node(op_names::kRelu, {"x"}, {"y"}, {}, node_name);
+    graph.add_output("y");
+    EngineOptions options;
+    options.selection = SelectionStrategy::kAutoTune;
+    options.autotune_runs = 1;
+    std::unique_ptr<Engine> engine;
+    ASSERT_NO_THROW(engine = std::make_unique<Engine>(std::move(graph),
+                                                      options));
+
+    bool timed = false;
+    for (const auto &[impl, ms] : engine->autotune_log().at(node_name))
+        timed |= impl == "prepared_only";
+    EXPECT_TRUE(timed);
+    const Tensor y = engine->run(
+        Tensor::from_values(Shape({1, 16}), std::vector<float>(16, -1.0f)));
+    EXPECT_EQ(y.data<float>()[0], 0.0f);
+}
+
 TEST(Selection, StrategyNames)
 {
     EXPECT_STREQ(to_string(SelectionStrategy::kHeuristic), "heuristic");
