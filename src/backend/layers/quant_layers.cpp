@@ -69,6 +69,19 @@ read_zero_point(const LayerInit &init, std::size_t index)
     throw Error("zero point must be uint8 or int8");
 }
 
+/** Depthwise QLinearConv: one input and one output channel per group
+ *  (the fp32 depthwise impls also require more than one channel). */
+bool
+is_depthwise_qconv(const LayerInit &init)
+{
+    const std::int64_t group =
+        Conv2dParams::from_attrs(init.node->attrs(), init.input(3).shape)
+            .group;
+    const std::int64_t in_c = init.input(0).shape.dim(1);
+    return group == in_c && in_c > 1 &&
+           init.output(0).shape.dim(1) == in_c;
+}
+
 QuantParams
 read_params(const LayerInit &init, std::size_t scale_index,
             std::size_t zp_index)
@@ -115,14 +128,19 @@ class DequantizeLinearLayer : public Layer
     QuantParams params_;
 };
 
+/** QLinearConv through qconv2d (im2col + qgemm) or, for depthwise
+ *  nodes, the direct qconv2d_depthwise kernel. */
 class QLinearConvLayer : public Layer
 {
   public:
-    explicit QLinearConvLayer(const LayerInit &init, bool simd = false)
-        : has_bias_(init.node->has_input(8)),
+    QLinearConvLayer(const LayerInit &init, bool depthwise, bool simd)
+        : depthwise_(depthwise),
+          has_bias_(init.node->has_input(8)),
           const_weight_(init.constant(3)),
           node_name_(init.node->name()),
           in_c_(init.input(0).shape.dim(1)),
+          in_h_(init.input(0).shape.dim(2)),
+          in_w_(init.input(0).shape.dim(3)),
           out_c_(init.output(0).shape.dim(1)),
           out_h_(init.output(0).shape.dim(2)),
           out_w_(init.output(0).shape.dim(3))
@@ -157,6 +175,18 @@ class QLinearConvLayer : public Layer
     void
     prepare(PlanContext &ctx) override
     {
+        if (depthwise_) {
+            // The scalar kernel accumulates one output row; the SIMD one
+            // reads a zero-point-padded copy of each input plane.
+            acc_offset_ = ctx.reserve(static_cast<std::size_t>(out_w_) *
+                                      sizeof(std::int32_t));
+            if (args_.simd)
+                col_offset_ = ctx.reserve(qconv2d_depthwise_col_count(
+                    in_h_, in_w_, args_.params));
+            prepared_ = true;
+            rebind();
+            return;
+        }
         col_offset_ = ctx.reserve(
             qconv2d_col_count(in_c_, args_.params, out_h_, out_w_) *
             sizeof(std::uint8_t));
@@ -195,7 +225,10 @@ class QLinearConvLayer : public Layer
         args_.weight = inputs[3];
         args_.bias = has_bias_ ? inputs[8] : nullptr;
         args_.output = outputs[0];
-        qconv2d(args_, prepared_ ? &scratch_ : nullptr);
+        if (depthwise_)
+            qconv2d_depthwise(args_, prepared_ ? &scratch_ : nullptr);
+        else
+            qconv2d(args_, prepared_ ? &scratch_ : nullptr);
     }
 
   private:
@@ -204,17 +237,20 @@ class QLinearConvLayer : public Layer
     {
         scratch_.col = workspace_.at<std::uint8_t>(col_offset_);
         scratch_.acc = workspace_.at<std::int32_t>(acc_offset_);
-        if (args_.simd)
+        if (args_.simd && !depthwise_)
             scratch_.pack = workspace_.at<std::int16_t>(pack_offset_);
         if (weight_row_sums_ != nullptr)
             scratch_.weight_row_sums = weight_row_sums_->data();
     }
 
     QConv2dArgs args_;
+    bool depthwise_;
     bool has_bias_;
     const Tensor *const_weight_;
     std::string node_name_;
     std::int64_t in_c_;
+    std::int64_t in_h_;
+    std::int64_t in_w_;
     std::int64_t out_c_;
     std::int64_t out_h_;
     std::int64_t out_w_;
@@ -240,9 +276,21 @@ register_quant_kernels(KernelRegistry &registry)
                   [](const LayerInit &init) {
                       return std::make_unique<DequantizeLinearLayer>(init);
                   }});
+    // im2col_qgemm is the lowest priority: the reference every other
+    // QLinearConv impl falls back to.
     registry.add({op_names::kQLinearConv, "im2col_qgemm", 10, nullptr,
                   [](const LayerInit &init) {
-                      return std::make_unique<QLinearConvLayer>(init);
+                      return std::make_unique<QLinearConvLayer>(init, false,
+                                                                false);
+                  }});
+    registry.add({op_names::kQLinearConv, "qdepthwise_direct", 100,
+                  [](const LayerInit &init) {
+                      return init.config->allow_depthwise_specialization &&
+                             is_depthwise_qconv(init);
+                  },
+                  [](const LayerInit &init) {
+                      return std::make_unique<QLinearConvLayer>(init, true,
+                                                                false);
                   }});
 
     // SIMD qconv: identical lowering with the accumulation routed
@@ -255,10 +303,26 @@ register_quant_kernels(KernelRegistry &registry)
                                  qgemm_simd_available();
                       },
                       [](const LayerInit &init) {
-                          return std::make_unique<QLinearConvLayer>(init,
-                                                                    true);
+                          return std::make_unique<QLinearConvLayer>(
+                              init, false, true);
                       }});
     }
+    // The vector depthwise kernel exists for AVX2 only; NEON builds run
+    // qdepthwise_direct.
+#if defined(ORPHEUS_SIMD_X86)
+    registry.add({op_names::kQLinearConv, "qdepthwise_" + isa, 105,
+                  [](const LayerInit &init) {
+                      return init.config->allow_simd &&
+                             init.config
+                                 ->allow_depthwise_specialization &&
+                             is_depthwise_qconv(init) &&
+                             qconv2d_depthwise_simd_available();
+                  },
+                  [](const LayerInit &init) {
+                      return std::make_unique<QLinearConvLayer>(
+                          init, true, true);
+                  }});
+#endif
 }
 
 } // namespace orpheus

@@ -3,11 +3,21 @@
  * Quantized 2-D convolution (the QLinearConv computation).
  *
  * Inputs: uint8 activations (affine), int8 weights (symmetric), int32
- * bias at scale x_scale * w_scale. The convolution is lowered through a
- * quantized im2col (padding written as the activation zero point, which
- * dequantizes to exactly 0) into qgemm_u8i8; the int32 accumulators are
- * then requantized to the uint8 output with a single fused multiplier
- * M = x_scale * w_scale / y_scale.
+ * bias at scale x_scale * w_scale. Two lowerings share one requantize
+ * step (requantize() in quantize.hpp, with the fused multiplier
+ * M = x_scale * w_scale / y_scale):
+ *
+ *  - qconv2d: quantized im2col (padding written as the activation zero
+ *    point, which dequantizes to exactly 0) into qgemm_w8a8. A 1x1,
+ *    stride-1, pad-0 conv skips the im2col: its input already is the
+ *    column matrix.
+ *  - qconv2d_depthwise: a direct loop for group == in_c == out_c that
+ *    sums w * (x - x_zp) over the in-bounds taps of each output, with no
+ *    column matrix.
+ *
+ * Accumulation is exact int32 arithmetic and requantization is one
+ * int32 -> float conversion and one multiply, so both lowerings and both
+ * SIMD tiers produce bitwise identical bytes.
  */
 #pragma once
 
@@ -38,10 +48,11 @@ struct QConv2dArgs {
      *  become clamps; other kinds are not supported here). */
     ActivationSpec activation;
     /**
-     * Route the accumulation through the SIMD qgemm tier
-     * (qgemm_w8a8_simd) when it is available; results are bitwise
-     * identical to the scalar path either way. Set by the SIMD registry
-     * impl, left false by the reference impl.
+     * Use the SIMD tier (qgemm_w8a8_simd and the AVX2 requantize for
+     * qconv2d, the AVX2 kernel for qconv2d_depthwise) when it is
+     * available; results are bitwise identical to the scalar path
+     * either way. Set by the SIMD registry impls, left false by the
+     * scalar ones.
      */
     bool simd = false;
 };
@@ -67,8 +78,13 @@ struct QConv2dScratch {
     std::int16_t *pack = nullptr;
 };
 
+/** True for a 1x1, stride-1, pad-0 conv, whose input qconv2d passes to
+ *  qgemm as the column matrix. */
+bool qconv2d_is_pointwise(const Conv2dParams &params);
+
 /** uint8 entries of the qconv2d column buffer:
- *  (in_c/group) * kernel_area * out_h * out_w. */
+ *  (in_c/group) * kernel_area * out_h * out_w, or 0 when
+ *  qconv2d_is_pointwise(). */
 std::size_t qconv2d_col_count(std::int64_t in_c, const Conv2dParams &params,
                               std::int64_t out_h, std::int64_t out_w);
 
@@ -86,8 +102,64 @@ void qconv2d_weight_row_sums(const Tensor &weight, std::int32_t *out);
 std::size_t qconv2d_pack_i16_count(std::int64_t in_c,
                                    const Conv2dParams &params);
 
-/** Runs the quantized convolution. Throws on dtype/shape mismatches. */
+/** Runs the quantized convolution through im2col + qgemm. Throws on
+ *  dtype/shape mismatches. */
 void qconv2d(const QConv2dArgs &args,
              const QConv2dScratch *scratch = nullptr);
+
+/** Row width of the zero-point-padded input plane the SIMD depthwise
+ *  kernel reads: pad_left + in_w + pad_right, widened so the blocks of
+ *  16 outputs never read past a row. */
+std::int64_t qconv2d_depthwise_padded_width(std::int64_t in_w,
+                                            const Conv2dParams &params);
+
+/** Bytes of the SIMD depthwise kernel's QConv2dScratch::col: that
+ *  padded plane, (pad_top + in_h + pad_bottom) rows, then the per-channel
+ *  tap weights as broadcast pairs. */
+std::size_t qconv2d_depthwise_col_count(std::int64_t in_h, std::int64_t in_w,
+                                        const Conv2dParams &params);
+
+/** True when qconv2d_depthwise() with args.simd takes the vector kernel
+ *  (built in, supported by the CPU and not disabled). */
+bool qconv2d_depthwise_simd_available();
+
+/**
+ * Direct depthwise quantized convolution (any kernel, stride and
+ * dilation). With args.simd it runs the AVX2 kernel when available, the
+ * width stride is 1 or 2 and the width dilation 1; output is bitwise
+ * identical to the scalar kernel and to qconv2d. @p scratch supplies
+ * the scalar kernel's acc (one output row, out_w entries) and the SIMD
+ * kernel's col (null fields: call-local). Throws unless
+ * group == in_c == out_c.
+ */
+void qconv2d_depthwise(const QConv2dArgs &args,
+                       const QConv2dScratch *scratch = nullptr);
+
+/** The requantize constants every qconv lowering derives from its args:
+ *  output zero point, fused-activation clamp bounds, and the per-channel
+ *  multiplier x_scale * w_scale[oc] / y_scale. */
+struct QConvRequant {
+    explicit QConvRequant(const QConv2dArgs &args);
+    float multiplier(std::int64_t oc) const;
+
+    std::int32_t zero_point;
+    std::int32_t lo = 0;
+    std::int32_t hi = 255;
+
+  private:
+    const QConv2dArgs *args_;
+};
+
+// Per-ISA entry points (defined in qconv_avx2.cpp with the matching ISA
+// flags; reached only through qconv2d / qconv2d_depthwise).
+#if defined(ORPHEUS_SIMD_X86)
+/** out[i] = requantize(acc[i] + offset, multiplier, rq) for i < n. */
+void qconv2d_requantize_row_avx2(const std::int32_t *acc, std::int64_t n,
+                                 std::int32_t offset, float multiplier,
+                                 const QConvRequant &rq, std::uint8_t *out);
+/** @p col holds qconv2d_depthwise_col_count() bytes. */
+void qconv2d_depthwise_avx2(const QConv2dArgs &args, const QConvRequant &rq,
+                            std::uint8_t *col);
+#endif
 
 } // namespace orpheus

@@ -1,7 +1,6 @@
 #include "ops/quant/quantize.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace orpheus {
 
@@ -18,7 +17,7 @@ choose_uint8_params(float min, float max)
     params.scale = (max - min) / 255.0f;
     // Nudge the zero point onto the grid so that real 0.0 is exact.
     const float zero = -min / params.scale;
-    params.zero_point = static_cast<std::int32_t>(std::lround(zero));
+    params.zero_point = round_saturate(zero);
     params.zero_point =
         std::clamp(params.zero_point, std::int32_t{0}, std::int32_t{255});
     return params;
@@ -47,8 +46,7 @@ quantize_to_uint8(const Tensor &input, const QuantParams &params,
     const std::int64_t count = input.numel();
     for (std::int64_t i = 0; i < count; ++i) {
         const std::int32_t q =
-            static_cast<std::int32_t>(std::lround(in[i] * inv_scale)) +
-            params.zero_point;
+            round_saturate(in[i] * inv_scale) + params.zero_point;
         out[i] = static_cast<std::uint8_t>(
             std::clamp(q, std::int32_t{0}, std::int32_t{255}));
     }
@@ -68,8 +66,7 @@ quantize_to_int8(const Tensor &input, const QuantParams &params,
     const std::int64_t count = input.numel();
     for (std::int64_t i = 0; i < count; ++i) {
         const std::int32_t q =
-            static_cast<std::int32_t>(std::lround(in[i] * inv_scale)) +
-            params.zero_point;
+            round_saturate(in[i] * inv_scale) + params.zero_point;
         out[i] = static_cast<std::int8_t>(
             std::clamp(q, std::int32_t{-127}, std::int32_t{127}));
     }

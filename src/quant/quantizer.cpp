@@ -99,9 +99,8 @@ quantize_conv(Graph &graph, std::size_t node_index,
                 choose_int8_symmetric_params(abs_max);
             w_scales[static_cast<std::size_t>(oc)] = filter_params.scale;
             for (std::int64_t k = 0; k < per_filter; ++k) {
-                const std::int32_t q = static_cast<std::int32_t>(
-                    std::lround(src[oc * per_filter + k] /
-                                filter_params.scale));
+                const std::int32_t q = round_saturate(
+                    src[oc * per_filter + k] / filter_params.scale);
                 dst[oc * per_filter + k] = static_cast<std::int8_t>(
                     std::clamp(q, -127, 127));
             }
@@ -129,8 +128,7 @@ quantize_conv(Graph &graph, std::size_t node_index,
             const float w_scale =
                 per_channel ? w_scales[static_cast<std::size_t>(i)]
                             : w_scales[0];
-            dst[i] = static_cast<std::int32_t>(
-                std::lround(src[i] / (x_params.scale * w_scale)));
+            dst[i] = round_saturate(src[i] / (x_params.scale * w_scale));
         }
         bias_name = graph.unique_value_name(node.input(2) + "_q");
         graph.add_initializer(bias_name, std::move(bias_q));

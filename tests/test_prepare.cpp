@@ -407,24 +407,34 @@ TEST(Prepare, SteadyStateKernelStepsDoNotAllocate)
 TEST(Prepare, SteadyStateQuantizedConvDoesNotAllocate)
 {
     set_global_num_threads(1);
-    Engine engine(quantize_model(models::tiny_cnn()));
-    const Tensor input = make_random(Shape({1, 3, 8, 8}), 0xa9);
-    (void)engine.run(input);
+    // tiny-cnn's dense convs, and a depthwise + pointwise pair.
+    GraphBuilder b("dw_pw", 0xaa);
+    std::string x = b.input("input", Shape({1, 3, 8, 8}));
+    x = b.conv_k(x, 3, 3, 1, 1, /*group=*/3, /*bias=*/true);
+    x = b.conv_k(x, 8, 1, 1, 0, /*group=*/1, /*bias=*/true);
+    b.output(x);
+    for (Graph graph : {models::tiny_cnn(), b.take()}) {
+        Engine engine(quantize_model(std::move(graph)));
+        const Tensor input = make_random(Shape({1, 3, 8, 8}), 0xa9);
+        (void)engine.run(input);
 
-    bool saw_qconv = false;
-    for (std::size_t i = 0; i < engine.steps().size(); ++i) {
-        const PlanStep &step = engine.steps()[i];
-        if (step.op_type != op_names::kQLinearConv)
-            continue;
-        saw_qconv = true;
-        g_alloc_count.store(0);
-        g_counting.store(true);
-        engine.run_step(i);
-        g_counting.store(false);
-        EXPECT_EQ(g_alloc_count.load(), 0)
-            << "QLinearConv step " << i << " allocated in the steady state";
+        bool saw_qconv = false;
+        for (std::size_t i = 0; i < engine.steps().size(); ++i) {
+            const PlanStep &step = engine.steps()[i];
+            if (step.op_type != op_names::kQLinearConv)
+                continue;
+            saw_qconv = true;
+            g_alloc_count.store(0);
+            g_counting.store(true);
+            engine.run_step(i);
+            g_counting.store(false);
+            EXPECT_EQ(g_alloc_count.load(), 0)
+                << "QLinearConv step " << i << " ("
+                << step.layer->impl_name()
+                << ") allocated in the steady state";
+        }
+        EXPECT_TRUE(saw_qconv) << "quantized model contains no QLinearConv";
     }
-    EXPECT_TRUE(saw_qconv) << "quantized model contains no QLinearConv";
 }
 
 } // namespace

@@ -1,6 +1,8 @@
 /** @file Tests for the quantization subsystem: parameter selection,
  *  quantized kernels, calibration and whole-model PTQ. */
+#include <cfloat>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "ops/quant/qconv.hpp"
 #include "ops/quant/qgemm.hpp"
 #include "ops/quant/quantize.hpp"
+#include "qconv_cases.hpp"
 #include "quant/quantizer.hpp"
 #include "runtime/engine.hpp"
 #include "test_util.hpp"
@@ -252,6 +255,235 @@ TEST(QConv, RejectsAsymmetricWeights)
     args.output = &y_q;
     args.weight_params = {0.1f, 5};
     EXPECT_THROW(qconv2d(args), Error);
+}
+
+// --- Requantize rounding and saturation -------------------------------------
+
+TEST(Requantize, RoundSaturateEqualsLroundInRange)
+{
+    // Ties, just-below-ties, the 2^23 boundary where floats become
+    // integers, and the +-2^30 saturation ends.
+    std::vector<float> values = {0.0f,       -0.0f,      0.5f,
+                                 -0.5f,      1.5f,       -1.5f,
+                                 2.5f,       -2.5f,      0.49999997f,
+                                 -0.49999997f, 8388607.5f, -8388607.5f,
+                                 8388609.0f, 1073741824.0f, -1073741824.0f};
+    unsigned state = 0x5a7;
+    for (int i = 0; i < 100000; ++i) {
+        state = state * 1664525u + 1013904223u;
+        const float unit = static_cast<float>(state >> 8) / 16777216.0f;
+        // Magnitudes from 2^-4 to 2^26, both signs.
+        values.push_back((state & 1u ? -1.0f : 1.0f) *
+                         std::ldexp(unit, static_cast<int>(state % 31) - 4));
+    }
+    for (float v : values)
+        ASSERT_EQ(round_saturate(v), static_cast<std::int32_t>(std::lround(v)))
+            << v;
+}
+
+TEST(Requantize, SaturatesInsteadOfWrapping)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    EXPECT_EQ(round_saturate(3e9f), 1 << 30);
+    EXPECT_EQ(round_saturate(inf), 1 << 30);
+    EXPECT_EQ(round_saturate(-inf), -(1 << 30));
+    EXPECT_EQ(round_saturate(std::nanf("")), 0);
+
+    const QuantParams params{1.0f, 10};
+    EXPECT_GT(params.quantize(FLT_MAX), 255);
+    EXPECT_LT(params.quantize(std::numeric_limits<float>::lowest()), 0);
+
+    Tensor in(Shape({7}));
+    const float values[] = {3e9f, 1e20f, inf, -3e9f, -inf, std::nanf(""),
+                            100.0f};
+    std::copy(values, values + 7, in.data<float>());
+    Tensor u8(in.shape(), DataType::kUInt8);
+    quantize_to_uint8(in, params, u8);
+    const std::uint8_t want_u8[] = {255, 255, 255, 0, 0, 10, 110};
+    for (int i = 0; i < 7; ++i)
+        EXPECT_EQ(u8.data<std::uint8_t>()[i], want_u8[i]) << values[i];
+
+    Tensor i8(in.shape(), DataType::kInt8);
+    quantize_to_int8(in, QuantParams{1.0f, 0}, i8);
+    const std::int8_t want_i8[] = {127, 127, 127, -127, -127, 0, 100};
+    for (int i = 0; i < 7; ++i)
+        EXPECT_EQ(i8.data<std::int8_t>()[i], want_i8[i]) << values[i];
+}
+
+TEST(QConv, OneSidedClipKeepsTheOpenSide)
+{
+    // fuse_conv_activation fills a Clip's missing bound with +-FLT_MAX:
+    // Clip(0, FLT_MAX) is a ReLU and Clip(lowest, 6) an upper clamp only.
+    const testing::QDepthwiseCase c{4, 14, 1, 1, 1, true, true,
+                                    ActivationKind::kRelu};
+    testing::QDepthwiseProblem relu(c), open_max(c), open_min(c),
+        finite_min(c);
+    open_max.args.activation = ActivationSpec::clip(0.0f, FLT_MAX);
+    open_min.args.activation =
+        ActivationSpec::clip(std::numeric_limits<float>::lowest(), 6.0f);
+    finite_min.args.activation = ActivationSpec::clip(-1e6f, 6.0f);
+    for (auto *problem : {&relu, &open_max, &open_min, &finite_min}) {
+        qconv2d(problem->args);
+        Tensor depthwise(problem->y.shape(), DataType::kUInt8);
+        problem->args.output = &depthwise;
+        qconv2d_depthwise(problem->args);
+        problem->args.output = &problem->y;
+        ASSERT_EQ(testing::first_difference(depthwise, problem->y), -1);
+    }
+    EXPECT_EQ(testing::first_difference(open_max.y, relu.y), -1);
+    EXPECT_EQ(testing::first_difference(open_min.y, finite_min.y), -1);
+    // The reference problem does reach below the zero point.
+    const std::uint8_t *y = open_min.y.data<std::uint8_t>();
+    EXPECT_LT(*std::min_element(y, y + open_min.y.numel()),
+              open_min.args.output_params.zero_point);
+}
+
+// --- Depthwise and pointwise kernels against an independent formula ---------
+
+TEST(QDepthwise, ImplsMatchIndependentFormula)
+{
+    for (const testing::QDepthwiseCase &c : testing::qdepthwise_sweep()) {
+        testing::QDepthwiseProblem problem(c);
+        const Tensor expected = testing::qconv_expected(problem.args);
+        ASSERT_EQ(expected.shape(), problem.y.shape()) << c.label();
+
+        qconv2d(problem.args);
+        ASSERT_EQ(testing::first_difference(problem.y, expected), -1)
+            << "im2col_qgemm, " << c.label();
+        qconv2d_depthwise(problem.args);
+        ASSERT_EQ(testing::first_difference(problem.y, expected), -1)
+            << "qdepthwise_direct, " << c.label();
+        if (qconv2d_depthwise_simd_available()) {
+            problem.args.simd = true;
+            qconv2d_depthwise(problem.args);
+            ASSERT_EQ(testing::first_difference(problem.y, expected), -1)
+                << "qdepthwise_simd, " << c.label();
+        }
+    }
+}
+
+TEST(QDepthwise, RejectsNonDepthwiseArgs)
+{
+    testing::QDepthwiseProblem problem(
+        {4, 7, 1, 1, 1, false, false, ActivationKind::kNone});
+    problem.args.params.group = 2;
+    EXPECT_THROW(qconv2d_depthwise(problem.args), Error);
+}
+
+TEST(QConv, PointwiseReadsInputAsColumnsAndMatchesFormula)
+{
+    // 1x1/stride-1/pad-0 convs take no column buffer; grouped and dense,
+    // both qgemm tiers.
+    Conv2dParams pointwise;
+    EXPECT_TRUE(qconv2d_is_pointwise(pointwise));
+    EXPECT_EQ(qconv2d_col_count(16, pointwise, 9, 9), 0u);
+    pointwise.pad_top = 1;
+    EXPECT_FALSE(qconv2d_is_pointwise(pointwise));
+
+    for (std::int64_t group : {1, 2}) {
+        testing::QDepthwiseProblem problem(
+            {8, 9, 1, 0, 2, true, true, ActivationKind::kRelu});
+        Tensor w(Shape({6, 8 / group, 1, 1}), DataType::kInt8);
+        for (std::int64_t i = 0; i < w.numel(); ++i)
+            w.data<std::int8_t>()[i] =
+                static_cast<std::int8_t>(i * 37 % 256 - 128);
+        Tensor b(Shape({6}), DataType::kInt32);
+        for (std::int64_t i = 0; i < 6; ++i)
+            b.data<std::int32_t>()[i] =
+                static_cast<std::int32_t>(i) * 901 - 2000;
+        Tensor y(Shape({2, 6, 9, 9}), DataType::kUInt8);
+        QConv2dArgs &args = problem.args;
+        args.weight = &w;
+        args.bias = &b;
+        args.output = &y;
+        args.weight_channel_scales.resize(6, 0.03f);
+        args.params = Conv2dParams{};
+        args.params.group = group;
+        const Tensor expected = testing::qconv_expected(args);
+        for (bool simd : {false, true}) {
+            args.simd = simd;
+            qconv2d(args);
+            EXPECT_EQ(testing::first_difference(y, expected), -1)
+                << "group " << group << " simd " << simd;
+        }
+    }
+}
+
+// --- The engine runs the depthwise kernel, bitwise equal to im2col ----------
+
+/** Copies of every QLinearConv step's output after one run_batch. */
+std::vector<Tensor>
+qconv_step_outputs(Engine &engine, const std::vector<Tensor> &images)
+{
+    std::vector<std::map<std::string, Tensor>> requests;
+    for (const Tensor &image : images)
+        requests.push_back(
+            {{engine.request_inputs().front().name, image.clone()}});
+    std::vector<const std::map<std::string, Tensor> *> pointers;
+    for (const auto &request : requests)
+        pointers.push_back(&request);
+    engine.run_batch(pointers);
+
+    std::vector<Tensor> outputs;
+    for (const PlanStep &step : engine.steps())
+        if (step.op_type == op_names::kQLinearConv)
+            outputs.push_back(step.outputs.front()->clone());
+    return outputs;
+}
+
+TEST(QDepthwise, EngineSelectsItAndMatchesIm2colStepByStep)
+{
+    QuantizationOptions quant;
+    quant.calibration_runs = 1;
+    const Graph quantized =
+        quantize_model(models::mobilenet_v1(1000, 0.5f), quant);
+
+    // Separate allocations keep every step's output readable after the
+    // run; capacity 3 serves both the n=1 and the n=3 runs.
+    EngineOptions on;
+    on.use_memory_planner = false;
+    on.max_batch = 3;
+    EngineOptions off = on;
+    off.backend.allow_depthwise_specialization = false;
+    Engine with_kernel(Graph(quantized), on);
+    Engine without_kernel(Graph(quantized), off);
+    ASSERT_EQ(with_kernel.batch_capacity(), 3)
+        << with_kernel.batch_fallback_reason();
+
+    int depthwise_steps = 0;
+    for (const PlanStep &step : with_kernel.steps()) {
+        if (step.op_type != op_names::kQLinearConv)
+            continue;
+        // OIHW weights with one input channel per group.
+        if (step.inputs[3]->shape().dim(1) != 1)
+            continue;
+        ++depthwise_steps;
+        EXPECT_EQ(step.layer->impl_name().rfind("qdepthwise_", 0), 0u)
+            << step.node_name << " ran " << step.layer->impl_name();
+    }
+    EXPECT_EQ(depthwise_steps, 13);
+    for (const PlanStep &step : without_kernel.steps())
+        EXPECT_EQ(step.layer->impl_name().find("qdepthwise"),
+                  std::string::npos);
+
+    const Shape image_shape({1, 3, 224, 224});
+    std::vector<Tensor> images;
+    for (std::uint64_t seed : {0xd1u, 0xd2u, 0xd3u})
+        images.push_back(testing::make_random(image_shape, seed));
+
+    for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+        const std::vector<Tensor> batch(images.begin(), images.begin() + n);
+        const std::vector<Tensor> a = qconv_step_outputs(with_kernel, batch);
+        const std::vector<Tensor> b =
+            qconv_step_outputs(without_kernel, batch);
+        ASSERT_EQ(a.size(), 27u);
+        ASSERT_EQ(b.size(), a.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(a[i].numel(), b[i].numel());
+            EXPECT_EQ(testing::first_difference(a[i], b[i]), -1)
+                << "QLinearConv step " << i << " at n=" << n;
+        }
+    }
 }
 
 // --- Shape inference for the quant ops --------------------------------------

@@ -21,6 +21,7 @@
 #include "ops/gemm/gemm.hpp"
 #include "ops/quant/qconv.hpp"
 #include "ops/quant/qgemm.hpp"
+#include "qconv_cases.hpp"
 #include "runtime/engine.hpp"
 #include "test_util.hpp"
 
@@ -286,6 +287,31 @@ TEST(SimdQconv, SimdFlagProducesBitwiseIdenticalOutput)
         ASSERT_EQ(y_scalar.data<std::uint8_t>()[i],
                   y_simd.data<std::uint8_t>()[i])
             << "pixel " << i;
+}
+
+TEST(SimdQconv, DepthwiseSweepBitwiseIdentical)
+{
+    // The AVX2 depthwise kernel and the AVX2 requantize of the im2col
+    // lowering against their scalar tiers, over the depthwise sweep.
+    if (!qconv2d_depthwise_simd_available())
+        GTEST_SKIP() << "no vector depthwise kernel on this host";
+    for (const testing::QDepthwiseCase &c : testing::qdepthwise_sweep()) {
+        testing::QDepthwiseProblem problem(c);
+        Tensor scalar(problem.y.shape(), DataType::kUInt8);
+        for (const bool depthwise : {true, false}) {
+            void (*run)(const QConv2dArgs &, const QConv2dScratch *) =
+                depthwise ? qconv2d_depthwise : qconv2d;
+            problem.args.output = &scalar;
+            problem.args.simd = false;
+            run(problem.args, nullptr);
+            problem.args.output = &problem.y;
+            problem.args.simd = true;
+            run(problem.args, nullptr);
+            ASSERT_EQ(testing::first_difference(problem.y, scalar), -1)
+                << (depthwise ? "qdepthwise" : "im2col_qgemm") << ", "
+                << c.label();
+        }
+    }
 }
 
 // --- depthwise conv: direct vs SIMD -----------------------------------------
