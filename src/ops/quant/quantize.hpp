@@ -63,12 +63,12 @@ requantize(std::int32_t acc, float multiplier, std::int32_t zero_point,
 inline __m256i
 round_saturate_avx2(__m256 x)
 {
-    const __m256 limit = _mm256_set1_ps(1073741824.0f);
     const __m256 nan = _mm256_cmp_ps(x, x, _CMP_UNORD_Q);
     // max_ps/min_ps return their second operand when the first is NaN;
     // NaN lanes are zeroed below either way.
-    const __m256 c = _mm256_min_ps(
-        _mm256_max_ps(x, _mm256_sub_ps(_mm256_setzero_ps(), limit)), limit);
+    const __m256 c =
+        _mm256_min_ps(_mm256_max_ps(x, _mm256_set1_ps(-1073741824.0f)),
+                      _mm256_set1_ps(1073741824.0f));
     __m256i r = _mm256_cvttps_epi32(c);
     const __m256 d = _mm256_sub_ps(c, _mm256_cvtepi32_ps(r));
     // Compare masks are all-ones (-1) where true.
