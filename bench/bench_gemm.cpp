@@ -70,28 +70,29 @@ gemm_cell(::benchmark::State &state, GemmVariant variant,
     state.counters["GFLOP/s"] = flops / (mean_ms * 1e6);
 }
 
-/** int8 qgemm cell (scalar reference or the SIMD tier). */
+/** int8 qgemm cell: the quantized conv's qgemm_w8a8 (int8 weights
+ *  [m x k] x uint8 columns [k x n]), scalar or the SIMD tier. */
 void
 qgemm_cell(::benchmark::State &state, bool simd, const GemmShape &shape)
 {
     Rng rng(0x6e);
-    std::vector<std::uint8_t> a(
-        static_cast<std::size_t>(shape.m * shape.k));
-    std::vector<std::int8_t> b(static_cast<std::size_t>(shape.k * shape.n));
+    std::vector<std::int8_t> w(static_cast<std::size_t>(shape.m * shape.k));
+    std::vector<std::uint8_t> col(
+        static_cast<std::size_t>(shape.k * shape.n));
     std::vector<std::int32_t> c(
         static_cast<std::size_t>(shape.m * shape.n));
-    for (auto &value : a)
-        value = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    for (auto &value : b)
+    for (auto &value : w)
         value = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    for (auto &value : col)
+        value = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
 
     const auto run = [&] {
         if (simd)
-            qgemm_u8i8_simd(shape.m, shape.n, shape.k, a.data(), shape.k,
-                            128, b.data(), shape.n, c.data(), shape.n);
+            qgemm_w8a8_simd(shape.m, shape.n, shape.k, w.data(), shape.k,
+                            col.data(), shape.n, c.data(), shape.n);
         else
-            qgemm_u8i8(shape.m, shape.n, shape.k, a.data(), shape.k, 128,
-                       b.data(), shape.n, c.data(), shape.n);
+            qgemm_w8a8(shape.m, shape.n, shape.k, w.data(), shape.k,
+                       col.data(), shape.n, c.data(), shape.n);
     };
     run();
 
@@ -140,7 +141,7 @@ main(int argc, char **argv)
     set_global_num_threads(1);
     const int shape_count = quick_mode() ? 2 : 6;
 
-    const bool simd = gemm_packed_simd_available();
+    const bool simd = simd_enabled();
     for (int i = 0; i < shape_count; ++i) {
         const GemmShape &shape = kShapes[i];
         std::vector<GemmVariant> variants = {GemmVariant::kNaive,
@@ -161,7 +162,7 @@ main(int argc, char **argv)
                 ->Unit(::benchmark::kMillisecond);
         }
         for (bool use_simd : {false, true}) {
-            if (use_simd && !qgemm_simd_available())
+            if (use_simd && !simd)
                 continue;
             const std::string name = std::string("qgemm/") + shape.label +
                                      (use_simd ? "/simd" : "/scalar");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/cpu_features.hpp"
 #include "core/status.hpp"
 
 namespace orpheus {
@@ -106,6 +107,12 @@ KernelRegistry::instantiate(const KernelDef &def, const LayerInit &init) const
                                                     << " returned null");
     layer->impl_name_ = def.impl_name;
     return layer;
+}
+
+bool
+simd_allowed(const LayerInit &init)
+{
+    return init.config->allow_simd && simd_enabled();
 }
 
 } // namespace orpheus

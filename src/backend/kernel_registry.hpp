@@ -8,13 +8,28 @@
  * kernels only claim nodes they can execute) and a priority (so the
  * default heuristic has a deterministic preference order).
  *
- * Built-in priorities (higher wins):
- *   100  conv.depthwise_direct   (depthwise nodes only)
- *    90  conv.winograd           (3x3/s1, opt-in via config)
- *    80  conv.im2col_gemm        (the Orpheus default)
- *    70  conv.spatial_pack
- *    20  *.minnl                 (third-party demo backend)
- *    10  *.direct / reference kernels
+ * Built-in priorities (higher wins; <isa> is simd_isa_compiled(), and
+ * the <isa> impls exist only in builds with a SIMD tier and claim nodes
+ * only when simd_allowed()):
+ *   Conv
+ *     105  depthwise_<isa>         (depthwise nodes only)
+ *     100  depthwise_direct        (depthwise nodes only)
+ *      90  winograd                (3x3/s1, opt-in via config)
+ *      85  im2col_gemm_<isa>       (packed GEMM variant only)
+ *      80  im2col_gemm             (the Orpheus default)
+ *      70  spatial_pack
+ *      20  minnl                   (third-party demo backend)
+ *      10  direct
+ *   QLinearConv
+ *     105  qdepthwise_avx2         (depthwise nodes, x86 builds only)
+ *     100  qdepthwise_direct       (depthwise nodes only)
+ *      30  im2col_qgemm_<isa>
+ *      10  im2col_qgemm            (the reference every impl falls back to)
+ *   Gemm, MatMul
+ *      30  packed_<isa>            (packed GEMM variant only)
+ *      20  minnl                   (MatMul only)
+ *      10  reference
+ *   Relu: 10 reference, 5 minnl. Every other op: 10 reference.
  */
 #pragma once
 
@@ -79,6 +94,11 @@ class KernelRegistry
 
     std::map<std::string, std::vector<KernelDef>> kernels_by_op_;
 };
+
+/** The support predicate every SIMD impl starts with: the engine allows
+ *  the SIMD tier (BackendConfig::allow_simd) and simd_enabled() (built
+ *  in, supported by the CPU, ORPHEUS_DISABLE_SIMD unset). */
+bool simd_allowed(const LayerInit &init);
 
 /** Registers every built-in kernel (idempotent; called by instance()). */
 void register_builtin_kernels(KernelRegistry &registry);

@@ -18,6 +18,7 @@
 #include "core/cpu_features.hpp"
 #include "graph/op_params.hpp"
 #include "ops/conv/conv.hpp"
+#include "ops/conv/im2col.hpp"
 
 namespace orpheus {
 
@@ -115,7 +116,8 @@ class ConvIm2colGemmLayer : public ConvLayerBase
     void
     prepare(PlanContext &ctx) override
     {
-        col_floats_ = conv2d_im2col_col_floats(shape_args_);
+        col_floats_ = im2col_col_count(shape_args_.in_c, params_,
+                                       shape_args_.out_h, shape_args_.out_w);
         if (col_floats_ > 0)
             col_offset_ = ctx.reserve(col_floats_ * sizeof(float));
         if (gemm_variant_uses_packing(gemm_variant_))
@@ -361,7 +363,7 @@ register_conv_kernels(KernelRegistry &registry)
                   make<ConvDirectLayer>});
 
     // SIMD tier: registered only when this binary was built with a
-    // vector TU for the target arch; the support predicates re-check the
+    // vector TU for the target arch; simd_allowed() re-checks the
     // runtime cpu probe (and the ORPHEUS_DISABLE_SIMD override) per
     // plan, so a binary with AVX2 kernels still selects scalar impls on
     // a host without AVX2. Health-ledger demotion and breaker fallback
@@ -370,19 +372,17 @@ register_conv_kernels(KernelRegistry &registry)
     if (!isa.empty()) {
         registry.add({op_names::kConv, "depthwise_" + isa, 105,
                       [](const LayerInit &init) {
-                          return init.config->allow_simd &&
+                          return simd_allowed(init) &&
                                  init.config
                                      ->allow_depthwise_specialization &&
-                                 is_depthwise_node(init) &&
-                                 conv2d_depthwise_simd_available();
+                                 is_depthwise_node(init);
                       },
                       make<ConvDepthwiseSimdLayer>});
         registry.add({op_names::kConv, "im2col_gemm_" + isa, 85,
                       [](const LayerInit &init) {
-                          return init.config->allow_simd &&
+                          return simd_allowed(init) &&
                                  init.config->gemm_variant ==
-                                     GemmVariant::kPacked &&
-                                 gemm_packed_simd_available();
+                                     GemmVariant::kPacked;
                       },
                       make<ConvIm2colGemmSimdLayer>});
     }

@@ -9,8 +9,8 @@
 
 #include "core/cpu_features.hpp"
 #include "graph/op_params.hpp"
+#include "ops/conv/im2col.hpp"
 #include "ops/quant/qconv.hpp"
-#include "ops/quant/qgemm.hpp"
 #include "ops/quant/quantize.hpp"
 
 namespace orpheus {
@@ -188,7 +188,7 @@ class QLinearConvLayer : public Layer
             return;
         }
         col_offset_ = ctx.reserve(
-            qconv2d_col_count(in_c_, args_.params, out_h_, out_w_) *
+            im2col_col_count(in_c_, args_.params, out_h_, out_w_) *
             sizeof(std::uint8_t));
         acc_offset_ = ctx.reserve(
             qconv2d_acc_count(out_c_, args_.params, out_h_, out_w_) *
@@ -298,10 +298,7 @@ register_quant_kernels(KernelRegistry &registry)
     const std::string isa = simd_isa_compiled();
     if (!isa.empty()) {
         registry.add({op_names::kQLinearConv, "im2col_qgemm_" + isa, 30,
-                      [](const LayerInit &init) {
-                          return init.config->allow_simd &&
-                                 qgemm_simd_available();
-                      },
+                      simd_allowed,
                       [](const LayerInit &init) {
                           return std::make_unique<QLinearConvLayer>(
                               init, false, true);
@@ -312,11 +309,10 @@ register_quant_kernels(KernelRegistry &registry)
 #if defined(ORPHEUS_SIMD_X86)
     registry.add({op_names::kQLinearConv, "qdepthwise_" + isa, 105,
                   [](const LayerInit &init) {
-                      return init.config->allow_simd &&
+                      return simd_allowed(init) &&
                              init.config
                                  ->allow_depthwise_specialization &&
-                             is_depthwise_qconv(init) &&
-                             qconv2d_depthwise_simd_available();
+                             is_depthwise_qconv(init);
                   },
                   [](const LayerInit &init) {
                       return std::make_unique<QLinearConvLayer>(

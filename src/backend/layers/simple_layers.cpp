@@ -317,60 +317,6 @@ class DenseLayer : public Layer
     bool prepared_ = false;
 };
 
-class MatMulLayer : public Layer
-{
-  public:
-    explicit MatMulLayer(const LayerInit &init)
-        : MatMulLayer(init, init.config->gemm_variant)
-    {
-    }
-
-    MatMulLayer(const LayerInit &init, GemmVariant variant)
-        : variant_(variant)
-    {
-        (void)init;
-    }
-
-    void
-    prepare(PlanContext &ctx) override
-    {
-        if (gemm_variant_uses_packing(variant_))
-            b_pack_offset_ =
-                ctx.reserve(gemm_packed_b_pack_floats() * sizeof(float));
-        prepared_ = true;
-        rebind();
-    }
-
-    void
-    bind_workspace(const Workspace &workspace) override
-    {
-        workspace_ = workspace;
-        rebind();
-    }
-
-    void
-    forward(const std::vector<const Tensor *> &inputs,
-            const std::vector<Tensor *> &outputs) override
-    {
-        dense(*inputs[0], *inputs[1], nullptr, false, false, 1.0f, 0.0f,
-              *outputs[0], variant_, prepared_ ? &scratch_ : nullptr);
-    }
-
-  private:
-    void
-    rebind()
-    {
-        if (gemm_variant_uses_packing(variant_))
-            scratch_.b_pack = workspace_.at<float>(b_pack_offset_);
-    }
-
-    GemmVariant variant_;
-    Workspace workspace_;
-    GemmScratch scratch_;
-    std::size_t b_pack_offset_ = 0;
-    bool prepared_ = false;
-};
-
 /** Flatten / Reshape / Identity / inference Dropout: a raw byte copy —
  *  shapes were already fixed by the planner. */
 class CopyLayer : public Layer
@@ -542,9 +488,11 @@ register_simple_kernels(KernelRegistry &registry)
                   [](const LayerInit &init) {
                       return std::make_unique<DenseLayer>(init);
                   }});
+    // MatMul is a Gemm without transposes, alpha, beta or C: the
+    // defaults DenseLayer reads from a MatMul node's (absent) attrs.
     registry.add({op_names::kMatMul, "reference", 10, nullptr,
                   [](const LayerInit &init) {
-                      return std::make_unique<MatMulLayer>(init);
+                      return std::make_unique<DenseLayer>(init);
                   }});
     registry.add({op_names::kBatchNormalization, "reference", 10, nullptr,
                   [](const LayerInit &init) {
@@ -574,9 +522,8 @@ register_simple_kernels(KernelRegistry &registry)
     const std::string isa = simd_isa_compiled();
     if (!isa.empty()) {
         const auto simd_gemm_supported = [](const LayerInit &init) {
-            return init.config->allow_simd &&
-                   init.config->gemm_variant == GemmVariant::kPacked &&
-                   gemm_packed_simd_available();
+            return simd_allowed(init) &&
+                   init.config->gemm_variant == GemmVariant::kPacked;
         };
         registry.add({op_names::kGemm, "packed_" + isa, 30,
                       simd_gemm_supported, [](const LayerInit &init) {
@@ -585,7 +532,7 @@ register_simple_kernels(KernelRegistry &registry)
                       }});
         registry.add({op_names::kMatMul, "packed_" + isa, 30,
                       simd_gemm_supported, [](const LayerInit &init) {
-                          return std::make_unique<MatMulLayer>(
+                          return std::make_unique<DenseLayer>(
                               init, GemmVariant::kPackedSimd);
                       }});
     }

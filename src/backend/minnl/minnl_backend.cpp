@@ -64,10 +64,10 @@ class MinnlConvLayer : public Layer
     bool has_bias_;
 };
 
-class MinnlMatMulLayer : public Layer
+class MinnlGemmLayer : public Layer
 {
   public:
-    explicit MinnlMatMulLayer(const LayerInit &) {}
+    explicit MinnlGemmLayer(const LayerInit &) {}
 
     void
     forward(const std::vector<const Tensor *> &inputs,
@@ -125,7 +125,7 @@ register_minnl_kernels(KernelRegistry &registry)
                   }});
     registry.add({op_names::kMatMul, "minnl", 20, third_party_allowed,
                   [](const LayerInit &init) {
-                      return std::make_unique<MinnlMatMulLayer>(init);
+                      return std::make_unique<MinnlGemmLayer>(init);
                   }});
     registry.add({op_names::kRelu, "minnl", 5, third_party_allowed,
                   [](const LayerInit &init) {

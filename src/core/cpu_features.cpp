@@ -1,6 +1,5 @@
 #include "core/cpu_features.hpp"
 
-#include <atomic>
 #include <cstdint>
 
 #include "core/env.hpp"
@@ -66,8 +65,6 @@ probe()
 
 #endif
 
-std::atomic<int> g_forced_disable{0};
-
 } // namespace
 
 std::string
@@ -127,17 +124,9 @@ simd_isa_supported()
 #endif
 }
 
-void
-force_disable_simd(bool disable)
-{
-    g_forced_disable.store(disable ? 1 : 0, std::memory_order_relaxed);
-}
-
 bool
 simd_disabled()
 {
-    if (g_forced_disable.load(std::memory_order_relaxed) != 0)
-        return true;
     return env_flag("ORPHEUS_DISABLE_SIMD", false);
 }
 

@@ -11,12 +11,13 @@
  *     compile definitions from the ORPHEUS_SIMD CMake option),
  *   - what the silicon reports (cpuid on x86; NEON is baseline on
  *     aarch64 so the probe is compile-time there), and
- *   - what the operator asked for (ORPHEUS_DISABLE_SIMD=1 or the
- *     orpheus_cli --no-simd flag force scalar dispatch for A/B
- *     diagnosis).
+ *   - what the operator asked for (ORPHEUS_DISABLE_SIMD=1 forces scalar
+ *     dispatch process-wide for A/B diagnosis).
  *
  * The hardware probe runs once per process; the disable switch is
  * re-read on every call so tests and tools can flip it after startup.
+ * Per engine, BackendConfig::allow_simd (the orpheus_cli --no-simd
+ * flag) removes the SIMD impls from selection instead.
  */
 #pragma once
 
@@ -58,15 +59,9 @@ const char *simd_isa_compiled();
 /** True when the running CPU supports the compiled SIMD tier. */
 bool simd_isa_supported();
 
-/**
- * Process-wide override: force scalar dispatch regardless of the
- * environment (the CLI --no-simd flag). Pass false to undo.
- */
-void force_disable_simd(bool disable);
-
-/** True when SIMD dispatch is switched off — either by
- *  force_disable_simd() or by ORPHEUS_DISABLE_SIMD=1 (re-read on every
- *  call, so it can be set before an engine is planned). */
+/** True when SIMD dispatch is switched off by ORPHEUS_DISABLE_SIMD=1
+ *  (re-read on every call, so it can be set before an engine is
+ *  planned). */
 bool simd_disabled();
 
 /** The single gate the SIMD kernels and registry predicates consult:

@@ -82,7 +82,7 @@ struct Conv2dArgs {
  * engine's workspace segment.
  */
 struct Conv2dScratch {
-    /** im2col column matrix; conv2d_im2col_col_floats(). */
+    /** im2col column matrix; im2col_col_count() floats. */
     float *col = nullptr;
     /** Prebuilt spatial-pack weight cache (plan-time constant); when
      *  set, the kernel skips its weight-packing stage entirely. */
@@ -100,10 +100,6 @@ struct Conv2dScratch {
     /** Forwarded to the GEMM underneath im2col/Winograd lowering. */
     GemmScratch gemm;
 };
-
-/** Floats the im2col column buffer needs (0 for pointwise convs, which
- *  skip the lowering). Only the shape fields of @p args are read. */
-std::size_t conv2d_im2col_col_floats(const Conv2dArgs &args);
 
 /** Floats of the spatial-pack packed-weight cache. */
 std::size_t conv2d_spatial_pack_weights_floats(const Conv2dArgs &args);
@@ -160,10 +156,6 @@ bool conv2d_is_depthwise(const Conv2dArgs &args);
 
 /** Specialised direct depthwise convolution; requires is_depthwise. */
 void conv2d_depthwise_direct(const Conv2dArgs &args);
-
-/** True when conv2d_depthwise_simd will take a vectorised inner loop
- *  (SIMD tier compiled in, CPU support, not disabled). */
-bool conv2d_depthwise_simd_available();
 
 /**
  * Depthwise convolution through the runtime-dispatched SIMD tier: the

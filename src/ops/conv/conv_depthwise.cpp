@@ -88,12 +88,6 @@ conv2d_depthwise_direct(const Conv2dArgs &args)
     });
 }
 
-bool
-conv2d_depthwise_simd_available()
-{
-    return simd_enabled();
-}
-
 void
 conv2d_depthwise_simd(const Conv2dArgs &args)
 {

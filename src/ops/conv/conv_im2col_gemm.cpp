@@ -17,28 +17,6 @@
 
 namespace orpheus {
 
-namespace {
-
-bool
-is_pointwise_conv(const Conv2dParams &p)
-{
-    return p.kernel_h == 1 && p.kernel_w == 1 && p.stride_h == 1 &&
-           p.stride_w == 1 && p.pad_top == 0 && p.pad_left == 0 &&
-           p.pad_bottom == 0 && p.pad_right == 0;
-}
-
-} // namespace
-
-std::size_t
-conv2d_im2col_col_floats(const Conv2dArgs &args)
-{
-    const Conv2dParams &p = args.params;
-    if (is_pointwise_conv(p))
-        return 0;
-    return static_cast<std::size_t>(args.in_c / p.group * p.kernel_h *
-                                    p.kernel_w * args.out_h * args.out_w);
-}
-
 void
 conv2d_im2col_gemm(const Conv2dArgs &args, const Conv2dScratch *scratch)
 {
@@ -78,7 +56,7 @@ conv2d_im2col_gemm(const Conv2dArgs &args, const Conv2dScratch *scratch)
                 b_matrix = group_input;
             } else {
                 im2col(group_input, group_in_c, args.in_h, args.in_w, p,
-                       args.out_h, args.out_w, col);
+                       args.out_h, args.out_w, 0.0f, col);
                 b_matrix = col;
             }
 

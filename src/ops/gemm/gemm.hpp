@@ -65,11 +65,6 @@ void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k,
                  std::int64_t ldb, float *c, std::int64_t ldc,
                  const GemmScratch *scratch = nullptr);
 
-/** True when gemm_packed_simd will take a vectorised micro-kernel:
- *  the SIMD tier is compiled in, the CPU supports it, and neither
- *  ORPHEUS_DISABLE_SIMD nor --no-simd forced scalar dispatch. */
-bool gemm_packed_simd_available();
-
 /**
  * Packed panel GEMM through the runtime-dispatched SIMD micro-kernel
  * (AVX2+FMA or NEON); identical blocking, packing layout and workspace

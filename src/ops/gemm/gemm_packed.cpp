@@ -93,12 +93,6 @@ gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k, const float *a,
                                          scratch, scalar_micro_kernel);
 }
 
-bool
-gemm_packed_simd_available()
-{
-    return simd_enabled();
-}
-
 void
 gemm_packed_simd(std::int64_t m, std::int64_t n, std::int64_t k,
                  const float *a, std::int64_t lda, const float *b,

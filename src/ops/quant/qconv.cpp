@@ -1,52 +1,15 @@
 #include "ops/quant/qconv.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "core/cpu_features.hpp"
+#include "ops/conv/im2col.hpp"
 #include "ops/quant/qgemm.hpp"
 
 namespace orpheus {
 
 namespace {
-
-/** im2col over uint8 data; out-of-bounds samples take @p pad_value. */
-void
-qim2col(const std::uint8_t *data, std::int64_t channels, std::int64_t height,
-        std::int64_t width, const Conv2dParams &p, std::int64_t out_h,
-        std::int64_t out_w, std::uint8_t pad_value, std::uint8_t *col)
-{
-    for (std::int64_t c = 0; c < channels; ++c) {
-        const std::uint8_t *plane = data + c * height * width;
-        for (std::int64_t kh = 0; kh < p.kernel_h; ++kh) {
-            for (std::int64_t kw = 0; kw < p.kernel_w; ++kw) {
-                std::uint8_t *row =
-                    col + ((c * p.kernel_h + kh) * p.kernel_w + kw) * out_h *
-                              out_w;
-                for (std::int64_t oh = 0; oh < out_h; ++oh) {
-                    const std::int64_t ih =
-                        oh * p.stride_h - p.pad_top + kh * p.dilation_h;
-                    std::uint8_t *out_row = row + oh * out_w;
-                    if (ih < 0 || ih >= height) {
-                        std::memset(out_row, pad_value,
-                                    static_cast<std::size_t>(out_w));
-                        continue;
-                    }
-                    const std::uint8_t *in_row = plane + ih * width;
-                    for (std::int64_t ow = 0; ow < out_w; ++ow) {
-                        const std::int64_t iw = ow * p.stride_w -
-                                                p.pad_left +
-                                                kw * p.dilation_w;
-                        out_row[ow] = (iw >= 0 && iw < width)
-                                          ? in_row[iw]
-                                          : pad_value;
-                    }
-                }
-            }
-        }
-    }
-}
 
 void
 check_args(const QConv2dArgs &args)
@@ -119,24 +82,6 @@ QConvRequant::multiplier(std::int64_t oc) const
     return args_->input_params.scale * w_scale / args_->output_params.scale;
 }
 
-bool
-qconv2d_is_pointwise(const Conv2dParams &p)
-{
-    return p.kernel_h == 1 && p.kernel_w == 1 && p.stride_h == 1 &&
-           p.stride_w == 1 && p.pad_top == 0 && p.pad_left == 0 &&
-           p.pad_bottom == 0 && p.pad_right == 0;
-}
-
-std::size_t
-qconv2d_col_count(std::int64_t in_c, const Conv2dParams &params,
-                  std::int64_t out_h, std::int64_t out_w)
-{
-    if (qconv2d_is_pointwise(params))
-        return 0;
-    return static_cast<std::size_t>(in_c / params.group * params.kernel_h *
-                                    params.kernel_w * out_h * out_w);
-}
-
 std::size_t
 qconv2d_acc_count(std::int64_t out_c, const Conv2dParams &params,
                   std::int64_t out_h, std::int64_t out_w)
@@ -185,8 +130,10 @@ qconv2d(const QConv2dArgs &args, const QConv2dScratch *scratch)
     const std::int64_t group_out_c = out_c / p.group;
     const std::int64_t gemm_k = group_in_c * p.kernel_h * p.kernel_w;
     const std::int64_t gemm_n = out_h * out_w;
-    const bool pointwise = qconv2d_is_pointwise(p);
+    const bool pointwise = is_pointwise_conv(p);
     const QConvRequant rq(args);
+    // The GEMM and the requantize run on the same tier.
+    const bool simd = args.simd && simd_enabled();
 
     const auto pad_value =
         static_cast<std::uint8_t>(std::clamp(args.input_params.zero_point,
@@ -216,16 +163,12 @@ qconv2d(const QConv2dArgs &args, const QConv2dScratch *scratch)
         args.bias != nullptr ? args.bias->data<std::int32_t>() : nullptr;
     std::uint8_t *output = args.output->data<std::uint8_t>();
 
-    // The SIMD path accumulates the whole group block in one
-    // qgemm_w8a8_simd call (amortising the tile packing over all output
-    // channels); the scalar path keeps the per-row loop below. Both are
-    // exact integer arithmetic, so outputs are bitwise identical.
-    const bool use_simd = args.simd && qgemm_simd_available();
-
     for (std::int64_t n = 0; n < batch; ++n) {
         for (std::int64_t g = 0; g < p.group; ++g) {
             const std::uint8_t *group_input =
                 input + (n * in_c + g * group_in_c) * in_h * in_w;
+            const std::int8_t *group_weight =
+                weight + g * group_out_c * gemm_k;
             std::uint8_t *group_output =
                 output + (n * out_c + g * group_out_c) * gemm_n;
 
@@ -233,56 +176,41 @@ qconv2d(const QConv2dArgs &args, const QConv2dScratch *scratch)
             // [group_in_c x H*W] column matrix.
             const std::uint8_t *cols = group_input;
             if (!pointwise) {
-                qim2col(group_input, group_in_c, in_h, in_w, p, out_h,
-                        out_w, pad_value, col);
+                im2col(group_input, group_in_c, in_h, in_w, p, out_h, out_w,
+                       pad_value, col);
                 cols = col;
             }
 
-            if (use_simd)
-                qgemm_w8a8_simd(group_out_c, gemm_n, gemm_k,
-                                weight + g * group_out_c * gemm_k, gemm_k,
-                                cols, gemm_n, acc, gemm_n,
+            // One GEMM over the whole group block (the SIMD tier
+            // amortises its tile packing over all output channels).
+            if (simd)
+                qgemm_w8a8_simd(group_out_c, gemm_n, gemm_k, group_weight,
+                                gemm_k, cols, gemm_n, acc, gemm_n,
                                 scratch != nullptr ? scratch->pack
                                                    : nullptr);
+            else
+                qgemm_w8a8(group_out_c, gemm_n, gemm_k, group_weight,
+                           gemm_k, cols, gemm_n, acc, gemm_n);
 
             // acc[oc][pixel] = sum_k W[oc][k] * (col[k][pixel] - x_zp),
             // with the zero-point correction hoisted to one subtraction
-            // per output via the row sum of W (the symmetric-weights
-            // counterpart of qgemm's column-sum trick).
+            // per output via the row sum of W.
             for (std::int64_t oc = 0; oc < group_out_c; ++oc) {
-                const std::int8_t *w_row =
-                    weight + (g * group_out_c + oc) * gemm_k;
                 std::int32_t w_sum;
                 if (cached_w_sums != nullptr) {
                     w_sum = cached_w_sums[g * group_out_c + oc];
                 } else {
+                    const std::int8_t *w_row = group_weight + oc * gemm_k;
                     w_sum = 0;
                     for (std::int64_t kk = 0; kk < gemm_k; ++kk)
                         w_sum += w_row[kk];
                 }
-
-                std::int32_t *acc_row = acc + oc * gemm_n;
-                if (!use_simd) {
-                    std::memset(acc_row, 0,
-                                static_cast<std::size_t>(gemm_n) *
-                                    sizeof(std::int32_t));
-                    for (std::int64_t kk = 0; kk < gemm_k; ++kk) {
-                        const std::int32_t w_val = w_row[kk];
-                        if (w_val == 0)
-                            continue;
-                        const std::uint8_t *col_row = cols + kk * gemm_n;
-                        for (std::int64_t i = 0; i < gemm_n; ++i)
-                            acc_row[i] +=
-                                w_val *
-                                static_cast<std::int32_t>(col_row[i]);
-                    }
-                }
                 const std::int32_t b =
                     bias != nullptr ? bias[g * group_out_c + oc] : 0;
-                requantize_row(acc_row, gemm_n,
+                requantize_row(acc + oc * gemm_n, gemm_n,
                                b - args.input_params.zero_point * w_sum,
-                               rq.multiplier(g * group_out_c + oc), rq,
-                               use_simd, group_output + oc * gemm_n);
+                               rq.multiplier(g * group_out_c + oc), rq, simd,
+                               group_output + oc * gemm_n);
             }
         }
     }
@@ -308,16 +236,6 @@ qconv2d_depthwise_col_count(std::int64_t in_h, std::int64_t in_w,
     // Then one 32-byte broadcast per (kernel row, tap pair).
     return static_cast<std::size_t>((plane + 31) / 32 * 32 +
                                     32 * p.kernel_h * ((p.kernel_w + 1) / 2));
-}
-
-bool
-qconv2d_depthwise_simd_available()
-{
-#if defined(ORPHEUS_SIMD_X86)
-    return simd_enabled();
-#else
-    return false;
-#endif
 }
 
 void

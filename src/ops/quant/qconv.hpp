@@ -7,10 +7,11 @@
  * step (requantize() in quantize.hpp, with the fused multiplier
  * M = x_scale * w_scale / y_scale):
  *
- *  - qconv2d: quantized im2col (padding written as the activation zero
- *    point, which dequantizes to exactly 0) into qgemm_w8a8. A 1x1,
- *    stride-1, pad-0 conv skips the im2col: its input already is the
- *    column matrix.
+ *  - qconv2d: per (image, group), the fp32 conv's im2col (ops/conv/
+ *    im2col.hpp, padding written as the activation zero point, which
+ *    dequantizes to exactly 0), then one qgemm_w8a8 call over the whole
+ *    block and one requantize pass. A 1x1, stride-1, pad-0 conv skips
+ *    the im2col: its input already is the column matrix.
  *  - qconv2d_depthwise: a direct loop for group == in_c == out_c that
  *    sums w * (x - x_zp) over the in-bounds taps of each output, with no
  *    column matrix.
@@ -64,7 +65,7 @@ struct QConv2dArgs {
  * once at plan time.
  */
 struct QConv2dScratch {
-    /** Quantized column matrix; qconv2d_col_count() uint8 entries. */
+    /** Quantized column matrix; im2col_col_count() uint8 entries. */
     std::uint8_t *col = nullptr;
     /** int32 accumulator block; qconv2d_acc_count() entries. */
     std::int32_t *acc = nullptr;
@@ -77,16 +78,6 @@ struct QConv2dScratch {
      *  call-local allocation. */
     std::int16_t *pack = nullptr;
 };
-
-/** True for a 1x1, stride-1, pad-0 conv, whose input qconv2d passes to
- *  qgemm as the column matrix. */
-bool qconv2d_is_pointwise(const Conv2dParams &params);
-
-/** uint8 entries of the qconv2d column buffer:
- *  (in_c/group) * kernel_area * out_h * out_w, or 0 when
- *  qconv2d_is_pointwise(). */
-std::size_t qconv2d_col_count(std::int64_t in_c, const Conv2dParams &params,
-                              std::int64_t out_h, std::int64_t out_w);
 
 /** int32 entries of the qconv2d accumulator block:
  *  (out_c/group) * out_h * out_w. */
@@ -102,8 +93,8 @@ void qconv2d_weight_row_sums(const Tensor &weight, std::int32_t *out);
 std::size_t qconv2d_pack_i16_count(std::int64_t in_c,
                                    const Conv2dParams &params);
 
-/** Runs the quantized convolution through im2col + qgemm. Throws on
- *  dtype/shape mismatches. */
+/** Runs the quantized convolution through im2col + qgemm_w8a8 (or
+ *  qgemm_w8a8_simd with args.simd). Throws on dtype/shape mismatches. */
 void qconv2d(const QConv2dArgs &args,
              const QConv2dScratch *scratch = nullptr);
 
@@ -118,10 +109,6 @@ std::int64_t qconv2d_depthwise_padded_width(std::int64_t in_w,
  *  tap weights as broadcast pairs. */
 std::size_t qconv2d_depthwise_col_count(std::int64_t in_h, std::int64_t in_w,
                                         const Conv2dParams &params);
-
-/** True when qconv2d_depthwise() with args.simd takes the vector kernel
- *  (built in, supported by the CPU and not disabled). */
-bool qconv2d_depthwise_simd_available();
 
 /**
  * Direct depthwise quantized convolution (any kernel, stride and

@@ -1,63 +1,10 @@
 #include "ops/quant/qgemm.hpp"
 
 #include <cstring>
-#include <vector>
 
 #include "core/cpu_features.hpp"
 
 namespace orpheus {
-
-void
-qgemm_u8i8_naive(std::int64_t m, std::int64_t n, std::int64_t k,
-                 const std::uint8_t *a, std::int64_t lda,
-                 std::int32_t a_zero_point, const std::int8_t *b,
-                 std::int64_t ldb, std::int32_t *c, std::int64_t ldc)
-{
-    for (std::int64_t i = 0; i < m; ++i) {
-        for (std::int64_t j = 0; j < n; ++j) {
-            std::int32_t acc = 0;
-            for (std::int64_t p = 0; p < k; ++p) {
-                acc += (static_cast<std::int32_t>(a[i * lda + p]) -
-                        a_zero_point) *
-                       static_cast<std::int32_t>(b[p * ldb + j]);
-            }
-            c[i * ldc + j] = acc;
-        }
-    }
-}
-
-void
-qgemm_u8i8(std::int64_t m, std::int64_t n, std::int64_t k,
-           const std::uint8_t *a, std::int64_t lda,
-           std::int32_t a_zero_point, const std::int8_t *b,
-           std::int64_t ldb, std::int32_t *c, std::int64_t ldc)
-{
-    // Zero-point trick: sum_p (a - zp) * b = sum_p a*b - zp * colsum(b),
-    // so the inner loop multiplies raw uint8 by int8 and the correction
-    // is one subtraction per output.
-    std::vector<std::int32_t> column_sums(static_cast<std::size_t>(n), 0);
-    for (std::int64_t p = 0; p < k; ++p) {
-        const std::int8_t *b_row = b + p * ldb;
-        for (std::int64_t j = 0; j < n; ++j)
-            column_sums[static_cast<std::size_t>(j)] += b_row[j];
-    }
-
-    for (std::int64_t i = 0; i < m; ++i) {
-        std::int32_t *c_row = c + i * ldc;
-        std::memset(c_row, 0, static_cast<std::size_t>(n) * 4);
-        const std::uint8_t *a_row = a + i * lda;
-        for (std::int64_t p = 0; p < k; ++p) {
-            const std::int32_t a_val = a_row[p];
-            if (a_val == 0)
-                continue;
-            const std::int8_t *b_row = b + p * ldb;
-            for (std::int64_t j = 0; j < n; ++j)
-                c_row[j] += a_val * static_cast<std::int32_t>(b_row[j]);
-        }
-        for (std::int64_t j = 0; j < n; ++j)
-            c_row[j] -= a_zero_point * column_sums[static_cast<std::size_t>(j)];
-    }
-}
 
 void
 qgemm_w8a8(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -79,41 +26,12 @@ qgemm_w8a8(std::int64_t m, std::int64_t n, std::int64_t k,
     }
 }
 
-bool
-qgemm_simd_available()
-{
-    return simd_enabled();
-}
-
 std::size_t
 qgemm_pack_i16s(std::int64_t k)
 {
     // One 32-column tile of interleaved row pairs: ceil(k/2) pairs of
     // 32 int16 lanes each.
     return static_cast<std::size_t>((k + 1) / 2) * 64;
-}
-
-void
-qgemm_u8i8_simd(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::uint8_t *a, std::int64_t lda,
-                std::int32_t a_zero_point, const std::int8_t *b,
-                std::int64_t ldb, std::int32_t *c, std::int64_t ldc,
-                std::int16_t *pack)
-{
-#if defined(ORPHEUS_SIMD_X86)
-    if (simd_enabled()) {
-        qgemm_u8i8_avx2(m, n, k, a, lda, a_zero_point, b, ldb, c, ldc,
-                        pack);
-        return;
-    }
-#elif defined(ORPHEUS_SIMD_NEON)
-    if (simd_enabled()) {
-        qgemm_u8i8_neon(m, n, k, a, lda, a_zero_point, b, ldb, c, ldc);
-        return;
-    }
-#endif
-    (void)pack;
-    qgemm_u8i8(m, n, k, a, lda, a_zero_point, b, ldb, c, ldc);
 }
 
 void

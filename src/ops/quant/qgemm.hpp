@@ -1,73 +1,43 @@
 /**
  * @file
- * Quantized GEMM: uint8 activations x int8 weights -> int32 accumulators.
+ * Quantized GEMM for the quantized conv: int8 weights x uint8 columns
+ * -> int32 accumulators, weight-stationary.
  *
- * C[i][j] = sum_k (A[i][k] - a_zero_point) * B[k][j]
+ * C[i][j] = sum_p W[i][p] * Col[p][j]
  *
- * B (the weights) is symmetric (zero point 0), which removes the
- * B-correction term; the A zero point is folded in with the standard
- * column-sum trick so the hot loop is a pure integer multiply-add.
+ * No zero-point term: the weights are symmetric (zero point 0) and the
+ * caller folds the activation zero point in afterwards through the
+ * per-row weight sums, so the hot loop is a pure integer multiply-add.
+ * The arithmetic is exact int32, so every tier is bitwise identical.
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace orpheus {
 
-/** Reference implementation (used for validation). */
-void qgemm_u8i8_naive(std::int64_t m, std::int64_t n, std::int64_t k,
-                      const std::uint8_t *a, std::int64_t lda,
-                      std::int32_t a_zero_point, const std::int8_t *b,
-                      std::int64_t ldb, std::int32_t *c, std::int64_t ldc);
-
-/**
- * Production kernel: i/p/j loop order with the zero-point correction
- * hoisted out of the inner loop via per-column sums of B.
- */
-void qgemm_u8i8(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::uint8_t *a, std::int64_t lda,
-                std::int32_t a_zero_point, const std::int8_t *b,
-                std::int64_t ldb, std::int32_t *c, std::int64_t ldc);
-
-/**
- * Weight-stationary raw accumulation used by the quantized conv:
- * C[i][j] = sum_p W[i][p] * Col[p][j] over int8 weights and uint8
- * columns — no zero-point term (the caller folds it in via the cached
- * per-row weight sums). This is the scalar reference; the SIMD variant
- * below is bitwise identical (integer arithmetic is exact).
- */
+/** Scalar kernel: i/p/j loop order, skipping zero weights. */
 void qgemm_w8a8(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int8_t *w, std::int64_t ldw,
                 const std::uint8_t *col, std::int64_t ldcol,
                 std::int32_t *c, std::int64_t ldc);
 
-/** True when the qgemm SIMD tier will dispatch to vector code (built
- *  in, supported by the CPU, and not disabled). */
-bool qgemm_simd_available();
-
 /**
  * int16 entries of the interleaved-pair packing buffer the SIMD qgemm
- * kernels stage one 32-column tile of the streamed operand through.
+ * kernel stages one 32-column tile of the streamed operand through.
  * Prepared layers reserve this in the engine workspace; a null pack
  * pointer falls back to a call-local allocation.
  */
 std::size_t qgemm_pack_i16s(std::int64_t k);
 
 /**
- * SIMD qgemm: identical results to qgemm_u8i8 bit for bit. On AVX2 the
- * streamed B tile is packed as sign-extended int16 row pairs so the
- * dot products run through vpmaddwd, which is exact in int32 (the
+ * SIMD qgemm_w8a8, bitwise identical to it. On AVX2 the streamed
+ * column tile is packed as zero-extended int16 row pairs so the dot
+ * products run through vpmaddwd, which is exact in int32 (the
  * saturating u8 x i8 vpmaddubsw path would not be). Falls back to the
- * scalar kernel when the SIMD tier is unavailable or disabled.
+ * scalar kernel when simd_enabled() is false.
  */
-void qgemm_u8i8_simd(std::int64_t m, std::int64_t n, std::int64_t k,
-                     const std::uint8_t *a, std::int64_t lda,
-                     std::int32_t a_zero_point, const std::int8_t *b,
-                     std::int64_t ldb, std::int32_t *c, std::int64_t ldc,
-                     std::int16_t *pack = nullptr);
-
-/** SIMD variant of qgemm_w8a8 (bitwise identical); same fallback and
- *  packing rules as qgemm_u8i8_simd. */
 void qgemm_w8a8_simd(std::int64_t m, std::int64_t n, std::int64_t k,
                      const std::int8_t *w, std::int64_t ldw,
                      const std::uint8_t *col, std::int64_t ldcol,
@@ -78,11 +48,6 @@ void qgemm_w8a8_simd(std::int64_t m, std::int64_t n, std::int64_t k,
 // compiled with the matching ISA flags; referenced only when the
 // corresponding ORPHEUS_SIMD_* definition is set).
 #if defined(ORPHEUS_SIMD_X86)
-void qgemm_u8i8_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
-                     const std::uint8_t *a, std::int64_t lda,
-                     std::int32_t a_zero_point, const std::int8_t *b,
-                     std::int64_t ldb, std::int32_t *c, std::int64_t ldc,
-                     std::int16_t *pack);
 void qgemm_w8a8_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
                      const std::int8_t *w, std::int64_t ldw,
                      const std::uint8_t *col, std::int64_t ldcol,
@@ -90,10 +55,6 @@ void qgemm_w8a8_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
                      std::int16_t *pack);
 #endif
 #if defined(ORPHEUS_SIMD_NEON)
-void qgemm_u8i8_neon(std::int64_t m, std::int64_t n, std::int64_t k,
-                     const std::uint8_t *a, std::int64_t lda,
-                     std::int32_t a_zero_point, const std::int8_t *b,
-                     std::int64_t ldb, std::int32_t *c, std::int64_t ldc);
 void qgemm_w8a8_neon(std::int64_t m, std::int64_t n, std::int64_t k,
                      const std::int8_t *w, std::int64_t ldw,
                      const std::uint8_t *col, std::int64_t ldcol,

@@ -1,22 +1,21 @@
 /**
  * @file
- * AVX2 int8 GEMM kernels (compiled with -mavx2 -mfma per-file flags).
+ * AVX2 int8 GEMM kernel (compiled with -mavx2 -mfma per-file flags).
  *
- * Both kernels stream the wide operand (B for qgemm_u8i8, the im2col
- * columns for qgemm_w8a8) through a 32-column packed tile of
- * interleaved row pairs widened to int16, then broadcast the stationary
- * operand's row pairs and accumulate with vpmaddwd:
+ * qgemm_w8a8_avx2 streams the im2col columns through a 32-column packed
+ * tile of interleaved row pairs widened to int16, then broadcasts the
+ * stationary weight row pairs and accumulates with vpmaddwd:
  *
  *   acc32 += lo16 * pair0 + hi16 * pair1
  *
  * vpmaddwd is exact in int32 for these ranges (|u8 x i8| pair sums max
- * out at 255*128*2 = 65280), so the SIMD kernels are bitwise identical
- * to the scalar references — the obvious u8 x i8 vpmaddubsw shortcut is
+ * out at 255*128*2 = 65280), so the SIMD kernel is bitwise identical
+ * to the scalar qgemm_w8a8 — the obvious u8 x i8 vpmaddubsw shortcut is
  * NOT used because it saturates its int16 pair sums and silently
  * corrupts large products. Widening during the pack costs one pass over
  * the tile and is amortised over all m stationary rows.
  *
- * Only reached through the qgemm_*_simd dispatchers after the runtime
+ * Only reached through the qgemm_w8a8_simd dispatcher after the runtime
  * cpuid probe confirms AVX2.
  */
 #if defined(ORPHEUS_SIMD_X86)
@@ -79,36 +78,6 @@ pack_pair_u8(const std::uint8_t *r0, const std::uint8_t *r1,
     }
 }
 
-/** Sign-extending counterpart of pack_pair_u8 for int8 rows. */
-inline void
-pack_pair_i8(const std::int8_t *r0, const std::int8_t *r1, std::int64_t jw,
-             std::int16_t *dst)
-{
-    if (jw == kTileN && r1 != nullptr) {
-        for (int half = 0; half < 2; ++half) {
-            const __m128i a0 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(r0 + 16 * half));
-            const __m128i a1 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(r1 + 16 * half));
-            const __m128i il = _mm_unpacklo_epi8(a0, a1);
-            const __m128i ih = _mm_unpackhi_epi8(a0, a1);
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(dst + 32 * half),
-                _mm256_cvtepi8_epi16(il));
-            _mm256_store_si256(
-                reinterpret_cast<__m256i *>(dst + 32 * half + 16),
-                _mm256_cvtepi8_epi16(ih));
-        }
-        return;
-    }
-    for (std::int64_t j = 0; j < kTileN; ++j) {
-        dst[2 * j] = j < jw ? static_cast<std::int16_t>(r0[j]) : 0;
-        dst[2 * j + 1] =
-            (r1 != nullptr && j < jw) ? static_cast<std::int16_t>(r1[j])
-                                      : 0;
-    }
-}
-
 /** Broadcast value for one stationary row pair (low/high int16 lanes). */
 inline __m256i
 broadcast_pair(std::int32_t v0, std::int32_t v1)
@@ -150,59 +119,6 @@ store_tile(const __m256i acc[4], std::int32_t *c_row, std::int64_t jw)
 }
 
 } // namespace
-
-void
-qgemm_u8i8_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::uint8_t *a, std::int64_t lda,
-                std::int32_t a_zero_point, const std::int8_t *b,
-                std::int64_t ldb, std::int32_t *c, std::int64_t ldc,
-                std::int16_t *pack)
-{
-    std::vector<std::int16_t> pack_fallback;
-    if (pack == nullptr)
-        pack = aligned_pack_fallback(pack_fallback, qgemm_pack_i16s(k));
-
-    const std::int64_t pairs = (k + 1) / 2;
-    const __m256i ones = _mm256_set1_epi16(1);
-    const __m256i zp = _mm256_set1_epi32(a_zero_point);
-
-    for (std::int64_t j0 = 0; j0 < n; j0 += kTileN) {
-        const std::int64_t jw = std::min<std::int64_t>(kTileN, n - j0);
-        for (std::int64_t p2 = 0; p2 < pairs; ++p2) {
-            const std::int64_t p = 2 * p2;
-            pack_pair_i8(b + p * ldb + j0,
-                         p + 1 < k ? b + (p + 1) * ldb + j0 : nullptr, jw,
-                         pack + p2 * 64);
-        }
-
-        // Tile column sums for the zero-point correction: madd against
-        // all-ones sums each packed pair exactly.
-        __m256i colsum[4] = {_mm256_setzero_si256(),
-                             _mm256_setzero_si256(),
-                             _mm256_setzero_si256(),
-                             _mm256_setzero_si256()};
-        for (std::int64_t p2 = 0; p2 < pairs; ++p2)
-            madd_tile(pack + p2 * 64, ones, colsum);
-
-        for (std::int64_t i = 0; i < m; ++i) {
-            const std::uint8_t *a_row = a + i * lda;
-            __m256i acc[4] = {_mm256_setzero_si256(),
-                              _mm256_setzero_si256(),
-                              _mm256_setzero_si256(),
-                              _mm256_setzero_si256()};
-            for (std::int64_t p2 = 0; p2 < pairs; ++p2) {
-                const std::int64_t p = 2 * p2;
-                const std::int32_t a0 = a_row[p];
-                const std::int32_t a1 = p + 1 < k ? a_row[p + 1] : 0;
-                madd_tile(pack + p2 * 64, broadcast_pair(a0, a1), acc);
-            }
-            for (int q = 0; q < 4; ++q)
-                acc[q] = _mm256_sub_epi32(
-                    acc[q], _mm256_mullo_epi32(zp, colsum[q]));
-            store_tile(acc, c + i * ldc + j0, jw);
-        }
-    }
-}
 
 void
 qgemm_w8a8_avx2(std::int64_t m, std::int64_t n, std::int64_t k,

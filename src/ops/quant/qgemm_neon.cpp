@@ -13,9 +13,6 @@
 
 #include <arm_neon.h>
 
-#include <cstring>
-#include <vector>
-
 #include "ops/quant/qgemm.hpp"
 
 namespace orpheus {
@@ -33,53 +30,6 @@ mla_lanes(int32x4_t acc[4], int16x8_t lo, int16x8_t hi, int16x4_t scalar)
 }
 
 } // namespace
-
-void
-qgemm_u8i8_neon(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::uint8_t *a, std::int64_t lda,
-                std::int32_t a_zero_point, const std::int8_t *b,
-                std::int64_t ldb, std::int32_t *c, std::int64_t ldc)
-{
-    // Same column-sum zero-point trick as the scalar kernel.
-    std::vector<std::int32_t> column_sums(static_cast<std::size_t>(n), 0);
-    for (std::int64_t p = 0; p < k; ++p) {
-        const std::int8_t *b_row = b + p * ldb;
-        for (std::int64_t j = 0; j < n; ++j)
-            column_sums[static_cast<std::size_t>(j)] += b_row[j];
-    }
-
-    const std::int64_t n16 = n & ~std::int64_t{15};
-    for (std::int64_t i = 0; i < m; ++i) {
-        const std::uint8_t *a_row = a + i * lda;
-        std::int32_t *c_row = c + i * ldc;
-
-        for (std::int64_t j0 = 0; j0 < n16; j0 += 16) {
-            int32x4_t acc[4] = {vdupq_n_s32(0), vdupq_n_s32(0),
-                                vdupq_n_s32(0), vdupq_n_s32(0)};
-            for (std::int64_t p = 0; p < k; ++p) {
-                const int16x4_t av =
-                    vdup_n_s16(static_cast<std::int16_t>(a_row[p]));
-                const int8x16_t bv = vld1q_s8(b + p * ldb + j0);
-                mla_lanes(acc, vmovl_s8(vget_low_s8(bv)),
-                          vmovl_s8(vget_high_s8(bv)), av);
-            }
-            for (int q = 0; q < 4; ++q) {
-                const int32x4_t cs =
-                    vld1q_s32(column_sums.data() + j0 + 4 * q);
-                vst1q_s32(c_row + j0 + 4 * q,
-                          vmlsq_n_s32(acc[q], cs, a_zero_point));
-            }
-        }
-        for (std::int64_t j = n16; j < n; ++j) {
-            std::int32_t sum = 0;
-            for (std::int64_t p = 0; p < k; ++p)
-                sum += static_cast<std::int32_t>(a_row[p]) *
-                       static_cast<std::int32_t>(b[p * ldb + j]);
-            c_row[j] = sum - a_zero_point *
-                                 column_sums[static_cast<std::size_t>(j)];
-        }
-    }
-}
 
 void
 qgemm_w8a8_neon(std::int64_t m, std::int64_t n, std::int64_t k,

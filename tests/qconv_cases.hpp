@@ -1,8 +1,9 @@
 /**
  * @file
- * Seeded depthwise QLinearConv problems shared by the quantized-kernel
- * tests: the sweep of shapes and requantize settings, the tensors of one
- * problem, and an independent formula for its expected output.
+ * Seeded 3x3 QLinearConv problems shared by the quantized-kernel tests:
+ * the depthwise and dense sweeps of shapes and requantize settings, the
+ * tensors of one problem, and an independent formula for its expected
+ * output.
  */
 #pragma once
 
@@ -15,11 +16,22 @@
 
 namespace orpheus::testing {
 
-/** One depthwise problem: shape plus requantize settings. */
-struct QDepthwiseCase {
+/** One 3x3 problem: shape plus requantize settings. */
+struct QConvCase {
     std::int64_t channels, width, stride, pad, batch;
     bool per_channel, bias;
     ActivationKind activation; ///< kNone, kRelu or kClip
+    /** 0: depthwise (group = output channels = channels). Otherwise a
+     *  dense conv with this many groups and out_channels outputs. */
+    std::int64_t group = 0, out_channels = 0;
+
+    bool depthwise() const { return group == 0; }
+    std::int64_t groups() const { return depthwise() ? channels : group; }
+    std::int64_t
+    outputs() const
+    {
+        return depthwise() ? channels : out_channels;
+    }
 
     std::string
     label() const
@@ -28,52 +40,91 @@ struct QDepthwiseCase {
                "s" + std::to_string(stride) + "p" + std::to_string(pad) +
                "n" + std::to_string(batch) + (per_channel ? "_pc" : "_pt") +
                (bias ? "_bias" : "") + "_act" +
-               std::to_string(static_cast<int>(activation));
+               std::to_string(static_cast<int>(activation)) +
+               (depthwise() ? "" : "_g" + std::to_string(group) + "o" +
+                                       std::to_string(out_channels));
     }
 };
 
-/**
- * Every shape of channels {1, 3, 33} x widths {7, 14, 15, 56, 112} x
- * stride {1, 2} x pad {0, 1} x batch {1, 3}, each with three of the
- * twelve (per-channel scales, bias, none/relu/clip) settings, rotated so
- * every setting meets every shape dimension.
- */
-inline std::vector<QDepthwiseCase>
-qdepthwise_sweep()
+/** Appends, for one shape, three of the twelve (per-channel scales,
+ *  bias, none/relu/clip) settings, rotated by the shape index so every
+ *  setting meets every shape dimension. */
+inline void
+add_rotated_settings(std::vector<QConvCase> &cases, QConvCase shape,
+                     int index)
 {
     const ActivationKind activations[] = {ActivationKind::kNone,
                                           ActivationKind::kRelu,
                                           ActivationKind::kClip};
-    std::vector<QDepthwiseCase> cases;
+    for (int k = 0; k < 3; ++k) {
+        const int setting = (index + 4 * k) % 12;
+        shape.per_channel = setting % 2 == 1;
+        shape.bias = setting / 2 % 2 == 1;
+        shape.activation = activations[setting / 4];
+        cases.push_back(shape);
+    }
+}
+
+/**
+ * Every depthwise shape of channels {1, 3, 33} x widths
+ * {7, 14, 15, 56, 112} x stride {1, 2} x pad {0, 1} x batch {1, 3}, each
+ * with three rotated requantize settings.
+ */
+inline std::vector<QConvCase>
+qdepthwise_sweep()
+{
+    std::vector<QConvCase> cases;
     int shape = 0;
     for (std::int64_t channels : {1, 3, 33})
         for (std::int64_t width : {7, 14, 15, 56, 112})
             for (std::int64_t stride : {1, 2})
                 for (std::int64_t pad : {0, 1})
-                    for (std::int64_t batch : {1, 3}) {
-                        for (int k = 0; k < 3; ++k) {
-                            const int setting = (shape + 4 * k) % 12;
-                            cases.push_back({channels, width, stride, pad,
-                                             batch, setting % 2 == 1,
-                                             setting / 2 % 2 == 1,
-                                             activations[setting / 4]});
-                        }
-                        ++shape;
-                    }
+                    for (std::int64_t batch : {1, 3})
+                        add_rotated_settings(
+                            cases,
+                            {channels, width, stride, pad, batch, false,
+                             false, ActivationKind::kNone},
+                            shape++);
     return cases;
 }
 
 /**
- * The tensors and qconv2d arguments of one 3x3 depthwise case, from a
- * seeded LCG: uint8 input over the full range, int8 weights over the
- * full range (-128 included), int32 bias. Not copyable: args points
- * into the members.
+ * Dense 3x3 shapes through the im2col lowering: 6 input and 10 output
+ * channels in group {1, 2} (reduction depth 54 and 27) x widths
+ * {7, 15, 33} x stride {1, 2} x pad {0, 1} x batch {1, 3}, each with
+ * three rotated requantize settings.
  */
-struct QDepthwiseProblem {
-    explicit QDepthwiseProblem(const QDepthwiseCase &c, unsigned seed = 0x9d1)
+inline std::vector<QConvCase>
+qdense_sweep()
+{
+    std::vector<QConvCase> cases;
+    int shape = 0;
+    for (std::int64_t group : {1, 2})
+        for (std::int64_t width : {7, 15, 33})
+            for (std::int64_t stride : {1, 2})
+                for (std::int64_t pad : {0, 1})
+                    for (std::int64_t batch : {1, 3})
+                        add_rotated_settings(
+                            cases,
+                            {6, width, stride, pad, batch, false, false,
+                             ActivationKind::kNone, group, 10},
+                            shape++);
+    return cases;
+}
+
+/**
+ * The tensors and qconv2d arguments of one 3x3 case, from a seeded LCG:
+ * uint8 input over the full range with input zero point 117, int8
+ * weights over the full range (-128 included), int32 bias. The output
+ * scale grows with the reduction depth so outputs span the uint8 range
+ * and clamp at both ends. Not copyable: args points into the members.
+ */
+struct QConvProblem {
+    explicit QConvProblem(const QConvCase &c, unsigned seed = 0x9d1)
         : x(Shape({c.batch, c.channels, c.width, c.width}), DataType::kUInt8),
-          w(Shape({c.channels, 1, 3, 3}), DataType::kInt8),
-          b(Shape({c.channels}), DataType::kInt32)
+          w(Shape({c.outputs(), c.channels / c.groups(), 3, 3}),
+            DataType::kInt8),
+          b(Shape({c.outputs()}), DataType::kInt32)
     {
         unsigned state = seed;
         const auto next = [&state] {
@@ -93,30 +144,30 @@ struct QDepthwiseProblem {
         args.weight = &w;
         args.weight_params = {0.05f, 0};
         if (c.per_channel)
-            for (std::int64_t ch = 0; ch < c.channels; ++ch)
+            for (std::int64_t ch = 0; ch < c.outputs(); ++ch)
                 args.weight_channel_scales.push_back(
                     0.01f + 0.09f * static_cast<float>(next() % 1000) /
                                 1000.0f);
         args.bias = c.bias ? &b : nullptr;
-        // Outputs span the uint8 range and clamp at both ends.
-        args.output_params = {0.17f, 131};
+        args.output_params = {
+            0.17f * static_cast<float>(c.channels / c.groups()), 131};
         args.params.kernel_h = args.params.kernel_w = 3;
         args.params.stride_h = args.params.stride_w = c.stride;
         args.params.pad_top = args.params.pad_left = c.pad;
         args.params.pad_bottom = args.params.pad_right = c.pad;
-        args.params.group = c.channels;
+        args.params.group = c.groups();
         if (c.activation == ActivationKind::kRelu)
             args.activation = ActivationSpec::relu();
         else if (c.activation == ActivationKind::kClip)
             args.activation = ActivationSpec::clip(-4.0f, 9.0f);
 
         const std::int64_t out = args.params.out_h(c.width);
-        y = Tensor(Shape({c.batch, c.channels, out, out}), DataType::kUInt8);
+        y = Tensor(Shape({c.batch, c.outputs(), out, out}), DataType::kUInt8);
         args.output = &y;
     }
 
-    QDepthwiseProblem(const QDepthwiseProblem &) = delete;
-    QDepthwiseProblem &operator=(const QDepthwiseProblem &) = delete;
+    QConvProblem(const QConvProblem &) = delete;
+    QConvProblem &operator=(const QConvProblem &) = delete;
 
     Tensor x, w, b, y;
     QConv2dArgs args;

@@ -12,10 +12,11 @@ namespace orpheus {
 namespace {
 
 /** Reference im2col: direct index arithmetic, no fast paths. */
+template <typename T>
 void
-im2col_reference(const float *data, std::int64_t channels, std::int64_t h,
+im2col_reference(const T *data, std::int64_t channels, std::int64_t h,
                  std::int64_t w, const Conv2dParams &p, std::int64_t out_h,
-                 std::int64_t out_w, float *col)
+                 std::int64_t out_w, T pad_value, T *col)
 {
     std::int64_t row = 0;
     for (std::int64_t c = 0; c < channels; ++c) {
@@ -31,7 +32,7 @@ im2col_reference(const float *data, std::int64_t channels, std::int64_t h,
                         const bool inside =
                             ih >= 0 && ih < h && iw >= 0 && iw < w;
                         col[row * out_h * out_w + oh * out_w + ow] =
-                            inside ? data[(c * h + ih) * w + iw] : 0.0f;
+                            inside ? data[(c * h + ih) * w + iw] : pad_value;
                     }
                 }
             }
@@ -69,10 +70,21 @@ TEST_P(Im2colVsReference, Matches)
 
     std::vector<float> expected(col_size, -99.0f), actual(col_size, -99.0f);
     im2col_reference(data.data(), c.channels, c.h, c.w, p, out_h, out_w,
-                     expected.data());
-    im2col(data.data(), c.channels, c.h, c.w, p, out_h, out_w,
+                     0.0f, expected.data());
+    im2col(data.data(), c.channels, c.h, c.w, p, out_h, out_w, 0.0f,
            actual.data());
     EXPECT_EQ(actual, expected);
+
+    // The quantized conv's instantiation pads with the zero point.
+    std::vector<std::uint8_t> data_u8(data.size());
+    for (std::uint8_t &value : data_u8)
+        value = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    std::vector<std::uint8_t> expected_u8(col_size, 0), actual_u8(col_size, 0);
+    im2col_reference<std::uint8_t>(data_u8.data(), c.channels, c.h, c.w, p,
+                                   out_h, out_w, 117, expected_u8.data());
+    im2col<std::uint8_t>(data_u8.data(), c.channels, c.h, c.w, p, out_h,
+                         out_w, 117, actual_u8.data());
+    EXPECT_EQ(actual_u8, expected_u8);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -98,8 +110,13 @@ TEST(Im2col, PointwiseIsIdentityLayout)
     Conv2dParams p; // all defaults: 1x1, stride 1, no padding
     std::vector<float> data = {1, 2, 3, 4, 5, 6, 7, 8};
     std::vector<float> col(8, 0.0f);
-    im2col(data.data(), 2, 2, 2, p, 2, 2, col.data());
+    im2col(data.data(), 2, 2, 2, p, 2, 2, 0.0f, col.data());
     EXPECT_EQ(col, data);
+    EXPECT_TRUE(is_pointwise_conv(p));
+    EXPECT_EQ(im2col_col_count(2, p, 2, 2), 0u);
+    p.pad_top = 1;
+    EXPECT_FALSE(is_pointwise_conv(p));
+    EXPECT_EQ(im2col_col_count(2, p, 3, 2), 12u);
 }
 
 } // namespace

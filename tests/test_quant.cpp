@@ -119,53 +119,22 @@ TEST(QGemm, MatchesNaiveReference)
 {
     Rng rng(0x9a2);
     const std::int64_t m = 7, n = 13, k = 21;
-    std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k));
-    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
-    for (auto &value : a)
+    std::vector<std::int8_t> w(static_cast<std::size_t>(m * k));
+    std::vector<std::uint8_t> col(static_cast<std::size_t>(k * n));
+    for (auto &value : w)
+        value = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    for (auto &value : col)
         value = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    for (auto &value : b)
-        value = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+    w[3] = 0; // the scalar kernel skips zero weights
 
     std::vector<std::int32_t> expected(static_cast<std::size_t>(m * n));
-    std::vector<std::int32_t> actual(static_cast<std::size_t>(m * n));
-    const std::int32_t zp = 77;
-    qgemm_u8i8_naive(m, n, k, a.data(), k, zp, b.data(), n,
-                     expected.data(), n);
-    qgemm_u8i8(m, n, k, a.data(), k, zp, b.data(), n, actual.data(), n);
-    EXPECT_EQ(actual, expected);
-}
-
-TEST(QGemm, AgreesWithFloatArithmetic)
-{
-    // Integer GEMM on quantized data must equal float GEMM on the
-    // dequantized data (exactly, since both are sums of exact products).
-    Rng rng(0x9a3);
-    const std::int64_t m = 4, n = 6, k = 9;
-    const QuantParams a_params{0.02f, 128};
-    const QuantParams b_params{0.01f, 0};
-
-    std::vector<std::uint8_t> a(static_cast<std::size_t>(m * k));
-    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
-    for (auto &value : a)
-        value = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    for (auto &value : b)
-        value = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-
-    std::vector<std::int32_t> acc(static_cast<std::size_t>(m * n));
-    qgemm_u8i8(m, n, k, a.data(), k, a_params.zero_point, b.data(), n,
-               acc.data(), n);
-
-    for (std::int64_t i = 0; i < m; ++i) {
-        for (std::int64_t j = 0; j < n; ++j) {
-            float expected = 0.0f;
+    for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t j = 0; j < n; ++j)
             for (std::int64_t p = 0; p < k; ++p)
-                expected += a_params.dequantize(a[i * k + p]) *
-                            b_params.dequantize(b[p * n + j]);
-            const float actual = acc[i * n + j] * a_params.scale *
-                                 b_params.scale;
-            EXPECT_NEAR(actual, expected, 1e-3f);
-        }
-    }
+                expected[i * n + j] += w[i * k + p] * col[p * n + j];
+    std::vector<std::int32_t> actual(expected.size(), -1);
+    qgemm_w8a8(m, n, k, w.data(), k, col.data(), n, actual.data(), n);
+    EXPECT_EQ(actual, expected);
 }
 
 // --- Quantized convolution ---------------------------------------------------
@@ -314,9 +283,9 @@ TEST(QConv, OneSidedClipKeepsTheOpenSide)
 {
     // fuse_conv_activation fills a Clip's missing bound with +-FLT_MAX:
     // Clip(0, FLT_MAX) is a ReLU and Clip(lowest, 6) an upper clamp only.
-    const testing::QDepthwiseCase c{4, 14, 1, 1, 1, true, true,
-                                    ActivationKind::kRelu};
-    testing::QDepthwiseProblem relu(c), open_max(c), open_min(c),
+    const testing::QConvCase c{4, 14, 1, 1, 1, true, true,
+                               ActivationKind::kRelu};
+    testing::QConvProblem relu(c), open_max(c), open_min(c),
         finite_min(c);
     open_max.args.activation = ActivationSpec::clip(0.0f, FLT_MAX);
     open_min.args.activation =
@@ -340,31 +309,37 @@ TEST(QConv, OneSidedClipKeepsTheOpenSide)
 
 // --- Depthwise and pointwise kernels against an independent formula ---------
 
-TEST(QDepthwise, ImplsMatchIndependentFormula)
+TEST(QConv, ImplsMatchIndependentFormula)
 {
-    for (const testing::QDepthwiseCase &c : testing::qdepthwise_sweep()) {
-        testing::QDepthwiseProblem problem(c);
+    // Every QLinearConv impl on its scalar and SIMD tier (args.simd
+    // falls back to scalar where the tier is off), over the depthwise
+    // and the dense 3x3 sweeps; the depthwise kernels only claim the
+    // depthwise cases.
+    std::vector<testing::QConvCase> cases = testing::qdepthwise_sweep();
+    const std::vector<testing::QConvCase> dense = testing::qdense_sweep();
+    cases.insert(cases.end(), dense.begin(), dense.end());
+    for (const testing::QConvCase &c : cases) {
+        testing::QConvProblem problem(c);
         const Tensor expected = testing::qconv_expected(problem.args);
         ASSERT_EQ(expected.shape(), problem.y.shape()) << c.label();
 
-        qconv2d(problem.args);
-        ASSERT_EQ(testing::first_difference(problem.y, expected), -1)
-            << "im2col_qgemm, " << c.label();
-        qconv2d_depthwise(problem.args);
-        ASSERT_EQ(testing::first_difference(problem.y, expected), -1)
-            << "qdepthwise_direct, " << c.label();
-        if (qconv2d_depthwise_simd_available()) {
-            problem.args.simd = true;
+        for (const bool simd : {false, true}) {
+            problem.args.simd = simd;
+            qconv2d(problem.args);
+            ASSERT_EQ(testing::first_difference(problem.y, expected), -1)
+                << "im2col_qgemm simd=" << simd << ", " << c.label();
+            if (!c.depthwise())
+                continue;
             qconv2d_depthwise(problem.args);
             ASSERT_EQ(testing::first_difference(problem.y, expected), -1)
-                << "qdepthwise_simd, " << c.label();
+                << "qdepthwise simd=" << simd << ", " << c.label();
         }
     }
 }
 
 TEST(QDepthwise, RejectsNonDepthwiseArgs)
 {
-    testing::QDepthwiseProblem problem(
+    testing::QConvProblem problem(
         {4, 7, 1, 1, 1, false, false, ActivationKind::kNone});
     problem.args.params.group = 2;
     EXPECT_THROW(qconv2d_depthwise(problem.args), Error);
@@ -372,16 +347,10 @@ TEST(QDepthwise, RejectsNonDepthwiseArgs)
 
 TEST(QConv, PointwiseReadsInputAsColumnsAndMatchesFormula)
 {
-    // 1x1/stride-1/pad-0 convs take no column buffer; grouped and dense,
-    // both qgemm tiers.
-    Conv2dParams pointwise;
-    EXPECT_TRUE(qconv2d_is_pointwise(pointwise));
-    EXPECT_EQ(qconv2d_col_count(16, pointwise, 9, 9), 0u);
-    pointwise.pad_top = 1;
-    EXPECT_FALSE(qconv2d_is_pointwise(pointwise));
-
+    // 1x1/stride-1/pad-0 convs take no column buffer
+    // (is_pointwise_conv); grouped and dense, both qgemm tiers.
     for (std::int64_t group : {1, 2}) {
-        testing::QDepthwiseProblem problem(
+        testing::QConvProblem problem(
             {8, 9, 1, 0, 2, true, true, ActivationKind::kRelu});
         Tensor w(Shape({6, 8 / group, 1, 1}), DataType::kInt8);
         for (std::int64_t i = 0; i < w.numel(); ++i)

@@ -18,8 +18,8 @@
  *   --runs <n>          timed repetitions (default 5)
  *   --profile           print the per-layer profile after running
  *   --autotune          measure every kernel candidate per node
- *   --no-simd           force scalar kernels (disable the SIMD tier;
- *                       equivalent to ORPHEUS_DISABLE_SIMD=1)
+ *   --no-simd           force scalar kernels (BackendConfig::allow_simd =
+ *                       false for every engine the command builds)
  * serve options:
  *   --clients <n>       concurrent client threads (default 4)
  *   --requests <n>      requests per client (default 32)
@@ -275,7 +275,7 @@ parse_options(int argc, char **argv, int first)
 
 /** One-line cpu-feature / SIMD-tier report for run & serve banners. */
 void
-print_cpu_features()
+print_cpu_features(const CliOptions &cli)
 {
     const std::string features = cpu_features().to_string();
     const char *isa = simd_isa_compiled();
@@ -284,8 +284,10 @@ print_cpu_features()
         tier = "none compiled in";
     else if (!simd_isa_supported())
         tier = std::string(isa) + " (unsupported on this host)";
+    else if (cli.no_simd)
+        tier = std::string(isa) + " (disabled by --no-simd)";
     else if (simd_disabled())
-        tier = std::string(isa) + " (disabled by override)";
+        tier = std::string(isa) + " (disabled by ORPHEUS_DISABLE_SIMD)";
     else
         tier = std::string(isa) + " (active)";
     std::printf("cpu-features: %s; simd tier: %s\n",
@@ -333,6 +335,8 @@ engine_options(const CliOptions &cli)
     EngineOptions options = personality_by_name(cli.personality).options;
     if (cli.autotune)
         options.selection = SelectionStrategy::kAutoTune;
+    if (cli.no_simd)
+        options.backend.allow_simd = false;
     return options;
 }
 
@@ -506,7 +510,7 @@ cmd_run(const CliOptions &cli)
 
     EngineOptions options = engine_options(cli);
     apply_guard_and_chaos(cli, options);
-    print_cpu_features();
+    print_cpu_features(cli);
     if (!cli.traffic_class.empty())
         return run_through_service(cli, std::move(options));
     Engine engine(load_model(cli.positional[0]), options);
@@ -544,7 +548,10 @@ cmd_compare(const CliOptions &cli)
     std::printf("%s\n", std::string(42, '-').c_str());
     for (const FrameworkPersonality &p : figure2_personalities()) {
         set_global_num_threads(p.effective_threads(cli.threads));
-        Engine engine{Graph(graph), p.options};
+        EngineOptions options = p.options;
+        if (cli.no_simd)
+            options.backend.allow_simd = false;
+        Engine engine{Graph(graph), options};
         ExperimentConfig config;
         config.timed_runs = cli.runs;
         const ExperimentResult result = time_inference(engine, config);
@@ -652,7 +659,7 @@ cmd_serve(const CliOptions &cli)
     if (cli.deadline_ms > 0)
         std::snprintf(deadline_text, sizeof(deadline_text), "%g ms",
                       cli.deadline_ms);
-    print_cpu_features();
+    print_cpu_features(cli);
     std::printf("serving %s: %d clients x %d requests, queue depth %zu, "
                 "%d workers, deadline %s\n",
                 service.engine().graph().name().c_str(), cli.clients,
@@ -933,8 +940,6 @@ main(int argc, char **argv)
     const std::string command = argv[1];
     try {
         const CliOptions cli = parse_options(argc, argv, 2);
-        if (cli.no_simd)
-            force_disable_simd(true);
         if (command == "list")
             return cmd_list();
         if (command == "info")
